@@ -11,16 +11,14 @@ import argparse
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import __version__
 from .errors import InputError, ResourceLimitError
-from .evaluation import score, sweep_levels, sweep_noise
+from .evaluation import noisy_replay, score, sweep_levels, sweep_noise
 from .instances import load_benchmark
-from .qaoa import build_problem, circuit_for_schedule, gate_count_report, solve, warmup_parameters
+from .qaoa import build_problem, gate_count_report, solve, warmup_parameters
 from .qubo import brute_force_solve, build_qubo, model_to_dict, stem_labels
 from .rna import enumerate_stems, partition_domains
-from .simulator import NoiseSpec, run_noisy
+from .simulator import NoiseSpec
 from . import io as io_
 
 
@@ -50,13 +48,18 @@ def _add_objective_flags(p: _Parser):
     p.add_argument("--cp", type=float, help="pseudoknot weight in [-1, 1]")
 
 
-def _resolved(args) -> io_.AppConfig:
+def _checked(build, *args, **kwargs):
+    """Call `build`, reporting a ValueError as bad user input."""
     try:
-        return _resolve_config(args)
+        return build(*args, **kwargs)
     except InputError:
         raise
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+
+
+def _resolved(args) -> io_.AppConfig:
+    return _checked(_resolve_config, args)
 
 
 def _resolve_config(args) -> io_.AppConfig:
@@ -149,38 +152,25 @@ def cmd_qubo(args) -> int:
     return _emit({"results": results, "manifest": manifest.to_dict()}, args)
 
 
-def _noisy_section(stems, cfg, result, p2, readout):
-    mixer_kind = cfg.qaoa.mixer
-    problem = build_problem(stems, cfg.qubo, mixer_kind)
-    schedule = result.levels[-1].schedule
-    ops = circuit_for_schedule(problem, schedule)
-    noisy = run_noisy(
-        ops, problem.n_qubits,
-        NoiseSpec(two_qubit_error=p2, readout_flip=readout),
-        cfg.qaoa.shots, cfg.qaoa.seed,
-    )
-    from .evaluation import _infeasible_frequency
-    from .qubo import DEGENERACY_ATOL
-
-    _, optimum = brute_force_solve(problem.qubo)
-    hits = sum(
-        c for b, c in noisy.entries
-        if problem.qubo.evaluate(b[: problem.n_stems]) >= optimum - DEGENERACY_ATOL
+def _noisy_section(stems, cfg, result, noise):
+    problem = build_problem(stems, cfg.qubo, cfg.qaoa.mixer)
+    samples, ground, infeasible = noisy_replay(
+        problem, result.levels[-1].schedule, noise, cfg.qaoa.shots, cfg.qaoa.seed
     )
     return {
-        "two_qubit_error": p2,
-        "readout_flip": list(readout),
+        "two_qubit_error": noise.two_qubit_error,
+        "readout_flip": list(noise.readout_flip),
         "reused_level": result.levels[-1].level,
-        "samples": io_.sampleset_to_dict(noisy),
-        "ground_state_frequency": hits / cfg.qaoa.shots,
-        "infeasible_frequency": _infeasible_frequency(noisy, problem.mixer.rings),
+        "samples": io_.sampleset_to_dict(samples),
+        "ground_state_frequency": ground,
+        "infeasible_frequency": infeasible,
     }
 
 
 def cmd_solve(args) -> int:
     cfg = _resolved(args)
     method = args.method
-    readout = _parse_readout(args.readout)
+    noise = _checked(NoiseSpec, args.noise_p2, _parse_readout(args.readout))
     results = []
     for seq in io_.parse_fasta(args.input):
         stems = _enumerate(seq, cfg)
@@ -194,8 +184,8 @@ def cmd_solve(args) -> int:
         cfg_run = replace(cfg, qaoa=qcfg)
         result = solve(stems, cfg_run.qubo, qcfg, warmup=cfg_run.warmup.get(mixer))
         doc = io_.solve_result_dict(result, stems, manifest, method)
-        if (args.noise_p2 or 0.0) > 0.0 or any(readout):
-            doc["noisy"] = _noisy_section(stems, cfg_run, result, args.noise_p2 or 0.0, readout)
+        if len(stems) and (noise.two_qubit_error > 0.0 or any(noise.readout_flip)):
+            doc["noisy"] = _noisy_section(stems, cfg_run, result, noise)
         doc["gate_counts"] = _gate_count_dict(
             gate_count_report(stems, cfg.qubo, mixer, result.terminating_level)
         )
@@ -262,9 +252,13 @@ def cmd_sweep(args) -> int:
         )
     else:
         p2_values = _parse_float_list(args.p2_list, "--p2-list")
+        readout = _parse_readout(args.readout)
+        for p2 in p2_values:
+            _checked(NoiseSpec, p2, readout)
+        _checked(replace, cfg.qaoa, p_start=args.level, p_max=args.level)
         result = sweep_noise(
             instances, cfg.qubo, cfg.qaoa, p2_values,
-            level=args.level, readout=_parse_readout(args.readout),
+            level=args.level, readout=readout,
             shots=args.shots, mixers=mixers, warmup=cfg.warmup,
         )
     if args.out_csv:

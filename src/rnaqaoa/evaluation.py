@@ -17,12 +17,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .qubo import DEGENERACY_ATOL, QuboParams, brute_force_solve
+from .qubo import QuboParams
 from .rna import Sequence, StemSet, structure_from_selection
 from .qaoa import (
     QaoaConfig,
     QaoaResult,
     ParameterSchedule,
+    Problem,
     build_problem,
     circuit_for_schedule,
     level_for_pmax,
@@ -183,13 +184,16 @@ def sweep_levels(
 
     One solve per (instance, mixer) at the largest requested cap supplies
     every smaller cap: per-level work never depends on p_max, so truncating
-    the level history reproduces a capped run exactly.
+    the level history reproduces a capped run exactly.  Instances without
+    stems emit no rows.
     """
     top = max(p_max_values)
     rows: list[dict] = []
     for mixer in mixers:
         cfg = replace(config, mixer=mixer, p_max=top)
         for stems in instances:
+            if len(stems) == 0:
+                continue
             ws = warmup.get(mixer) if warmup else None
             result = solve(stems, params, cfg, warmup=ws)
             for cap in p_max_values:
@@ -208,17 +212,18 @@ def sweep_levels(
     return SweepResult(rows=tuple(rows), summary=tuple(summary))
 
 
-def _infeasible_frequency(samples: SampleSet, rings: tuple[tuple[int, ...], ...]) -> float:
-    """Fraction of samples violating exactly-one-set-per-ring."""
-    if not rings:
-        return 0.0
-    bad = 0
-    for bits, count in samples.entries:
-        for ring in rings:
-            if sum(int(bits[q]) for q in ring) != 1:
-                bad += count
-                break
-    return bad / samples.shots
+def noisy_replay(
+    problem: Problem, schedule: ParameterSchedule, noise: NoiseSpec, shots: int, seed: int
+) -> tuple[SampleSet, float, float]:
+    """Trajectory samples of the schedule's circuit, with their ground-state
+    and infeasible frequencies read from the problem's masks."""
+    ops = circuit_for_schedule(problem, schedule)
+    samples = run_noisy(ops, problem.n_qubits, noise, shots, seed)
+    return (
+        samples,
+        samples.frequency_in(problem.ground_mask),
+        samples.frequency_in(problem.infeasible_mask),
+    )
 
 
 def sweep_noise(
@@ -236,41 +241,36 @@ def sweep_noise(
 
     Parameters are optimized noiselessly at the given level and reused for
     every noisy run (the hardware-style protocol); each shot is one
-    Monte-Carlo trajectory.
+    Monte-Carlo trajectory.  Instances without stems emit no rows.
     """
-    shots = shots or config.shots
+    shots = config.shots if shots is None else shots
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    noises = [NoiseSpec(two_qubit_error=p2, readout_flip=readout) for p2 in p2_values]
     rows: list[dict] = []
     for mixer in mixers:
         cfg = replace(config, mixer=mixer, p_start=level, p_max=level)
         for stems in instances:
+            if len(stems) == 0:
+                continue
             ws = warmup.get(mixer) if warmup else None
             result = solve(stems, params, cfg, warmup=ws)
-            schedule = result.levels[-1].schedule
             problem = build_problem(stems, params, mixer)
-            ops = circuit_for_schedule(problem, schedule)
-            _, optimum = brute_force_solve(problem.qubo)
             rng = np.random.default_rng(cfg.seed)
-            for p2 in p2_values:
-                noisy = run_noisy(
-                    ops, problem.n_qubits,
-                    NoiseSpec(two_qubit_error=p2, readout_flip=readout),
-                    shots, int(rng.integers(2**63)),
-                )
-                hits = sum(
-                    c for b, c in noisy.entries
-                    if problem.qubo.evaluate(b[: problem.n_stems]) >= optimum - DEGENERACY_ATOL
+            for noise in noises:
+                _, ground, infeasible = noisy_replay(
+                    problem, result.levels[-1].schedule, noise, shots,
+                    int(rng.integers(2**63)),
                 )
                 rows.append(
                     {
                         "instance": stems.sequence.id,
                         "mixer": mixer,
-                        "p2": p2,
+                        "p2": noise.two_qubit_error,
                         "level": level,
                         "trajectories": shots,
-                        "ground_state_frequency": hits / shots,
-                        "infeasible_frequency": _infeasible_frequency(
-                            noisy, problem.mixer.rings
-                        ),
+                        "ground_state_frequency": ground,
+                        "infeasible_frequency": infeasible,
                     }
                 )
     summary = _summarize(rows, ("mixer", "p2"), "ground_state_frequency")

@@ -215,6 +215,11 @@ class Problem:
     driven with gamma/phase_scale so that a gamma interval of a few radians
     explores comparable landscapes regardless of the instance's energy
     scale.  Losses and reported energies always use the raw diagonal.
+
+    optimum is the exhaustive oracle's best objective.  The masks index basis
+    states: ground_mask marks stem bits among the oracle's degenerate optima
+    (dummy bits ignored), infeasible_mask a domain ring without exactly one
+    set bit (never under the X mixer).
     """
 
     stems: StemSet
@@ -226,6 +231,9 @@ class Problem:
     domains: tuple[Domain, ...] | None
     initial: QuantumState
     phase_scale: float
+    optimum: float
+    ground_mask: np.ndarray
+    infeasible_mask: np.ndarray
 
     @property
     def n_stems(self) -> int:
@@ -260,10 +268,18 @@ def build_problem(stems: StemSet, params: QuboParams, mixer_kind: str) -> Proble
     else:
         mixer = MixerSpec.parity_xy(list(domains), ising.n)
         initial = prepare_w_states(list(domains), ising.n)
+    winners, optimum = brute_force_solve(qubo)
+    index = np.arange(2**ising.n)
+    infeasible = np.zeros(index.size, dtype=bool)
+    for ring in mixer.rings:
+        infeasible |= sum((index >> (ising.n - 1 - q)) & 1 for q in ring) != 1
     return Problem(
         stems=stems, params=params, mixer=mixer, qubo=qubo, ising=ising,
         cost=cost, domains=domains, initial=initial,
         phase_scale=spread / 2 if spread > 0 else 1.0,
+        optimum=optimum,
+        ground_mask=np.isin(index >> (ising.n - qubo.n), [int(b, 2) for b in winners]),
+        infeasible_mask=infeasible,
     )
 
 
@@ -439,16 +455,6 @@ class QaoaResult:
         return -self.best_energy
 
 
-def _ground_state_frequency(
-    samples: SampleSet, qubo: QuboModel, optimum: float, n_stems: int
-) -> float:
-    hits = 0
-    for bits, count in samples.entries:
-        if qubo.evaluate(bits[:n_stems]) >= optimum - DEGENERACY_ATOL:
-            hits += count
-    return hits / samples.shots
-
-
 def solve(
     stems: StemSet,
     params: QuboParams = QuboParams(),
@@ -468,7 +474,6 @@ def solve(
             ground_state_energy=0.0, mixer=config.mixer, n_stems=0, n_qubits=0,
         )
     problem = build_problem(stems, params, config.mixer)
-    _, optimum = brute_force_solve(problem.qubo)
     rng = np.random.default_rng(config.seed)
     if warmup is None:
         warmup = shipped_warmup(config.mixer)
@@ -490,9 +495,7 @@ def solve(
                 schedule=schedule,
                 samples=samples,
                 loss=loss(samples, problem.ising, config.dropoff),
-                ground_state_frequency=_ground_state_frequency(
-                    samples, problem.qubo, optimum, problem.n_stems
-                ),
+                ground_state_frequency=samples.frequency_in(problem.ground_mask),
                 stopped=stopped,
             )
         )
@@ -518,7 +521,7 @@ def solve(
         levels=tuple(records),
         terminating_level=records[-1].level,
         termination_reason=reason,
-        ground_state_energy=-optimum,
+        ground_state_energy=-problem.optimum,
         mixer=config.mixer,
         n_stems=problem.n_stems,
         n_qubits=problem.n_qubits,

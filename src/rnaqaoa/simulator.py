@@ -189,6 +189,10 @@ class SampleSet:
     def max_frequency(self) -> float:
         return self.entries[0][1] / self.shots if self.entries else 0.0
 
+    def frequency_in(self, mask: np.ndarray) -> float:
+        """Fraction of shots whose basis index is marked in `mask`."""
+        return sum(c for bits, c in self.entries if mask[int(bits, 2)]) / self.shots
+
 
 # ---------------------------------------------------------------------------
 # fast-path layer application

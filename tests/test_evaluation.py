@@ -170,3 +170,9 @@ def test_sweep_noise_records_trajectories(warmups, small_suite):
     row = result.rows[0]
     assert row["trajectories"] == 250
     assert 0.0 <= row["infeasible_frequency"] <= 1.0
+
+
+def test_sweep_noise_rejects_zero_shots(small_suite):
+    with pytest.raises(ValueError, match="shots"):
+        sweep_noise([small_suite[0]], QuboParams(), QaoaConfig(), [0.01], shots=0)
+

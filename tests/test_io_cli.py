@@ -249,6 +249,75 @@ def test_cli_solve_qaoa_xy_with_noise_section(tmp_path):
     assert 0.0 <= noisy["ground_state_frequency"] <= 1.0
 
 
+def test_cli_noisy_block_matches_per_state_oracle(tmp_path):
+    from rnaqaoa.instances import load_benchmark
+    from rnaqaoa.qubo import DEGENERACY_ATOL, QuboParams, build_qubo
+    from rnaqaoa.rna import partition_domains
+
+    stems = load_benchmark("small")[0]
+    assert len(stems) > 1
+    fasta = tmp_path / "small.fasta"
+    io_.write_fasta([stems.sequence], fasta)
+    out = tmp_path / "noisy.json"
+    assert main(["solve", str(fasta), "--maximal", "--method", "qaoa-xy",
+                 "--noise-p2", "0.02", "--readout", "0.01,0.02",
+                 "--out", str(out)]) == 0
+    doc = _load_json(out)
+    _validate(doc, "solve_result")
+    noisy = doc["results"][0]["noisy"]
+    qubo = build_qubo(stems, QuboParams())
+    n = len(stems)
+    optimum = max(qubo.evaluate(format(i, f"0{n}b")) for i in range(2**n))
+    rings = [dom.ring() for dom in partition_domains(stems)]
+    ground = infeasible = 0
+    for entry in noisy["samples"]["counts"]:
+        bits, count = entry["bitstring"], entry["count"]
+        ground += count * (qubo.evaluate(bits[:n]) >= optimum - DEGENERACY_ATOL)
+        infeasible += count * any(sum(int(bits[q]) for q in ring) != 1 for ring in rings)
+    shots = noisy["samples"]["shots"]
+    assert noisy["ground_state_frequency"] == ground / shots
+    assert noisy["infeasible_frequency"] == infeasible / shots
+    assert infeasible > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{fasta}", "--noise-p2", "-0.1"],
+    ["solve", "{fasta}", "--noise-p2", "nan"],
+    ["solve", "{fasta}", "--noise-p2", "1.5"],
+    ["solve", "{fasta}", "--readout", "2,0"],
+    ["sweep", "noise", "--instances", "{fasta}", "--p2-list", "-0.5"],
+    ["sweep", "noise", "--instances", "{fasta}", "--level", "0"],
+])
+def test_cli_bad_noise_flags_fail_before_solving(tmp_path, monkeypatch, argv):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve ran before the flags were checked")
+
+    monkeypatch.setattr("rnaqaoa.cli.solve", no_solve)
+    monkeypatch.setattr("rnaqaoa.evaluation.solve", no_solve)
+    fasta = str(_write_hairpin(tmp_path))
+    assert main([a.format(fasta=fasta) for a in argv]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{fasta}", "--method", "qaoa-x", "--noise-p2", "0.01"],
+    ["solve", "{fasta}", "--method", "qaoa-xy", "--noise-p2", "0.01"],
+    ["sweep", "noise", "--instances", "{fasta}", "--shots", "50"],
+    ["sweep", "levels", "--instances", "{fasta}", "--pmax-list", "2,3"],
+])
+def test_cli_stem_free_input(tmp_path, argv):
+    fasta = tmp_path / "bare.fasta"
+    fasta.write_text(">bare\nAAAAAAAAAA\n")
+    out = tmp_path / "out.json"
+    assert main([a.format(fasta=fasta) for a in argv] + ["--out", str(out)]) == 0
+    doc = _load_json(out)
+    if argv[0] == "solve":
+        _validate(doc, "solve_result")
+        assert "noisy" not in doc["results"][0]
+    else:
+        _validate(doc, "sweep_result")
+        assert doc["rows"] == []
+
+
 def test_cli_score(tmp_path):
     fasta = _write_hairpin(tmp_path)
     pred = tmp_path / "pred.dbn"

@@ -26,6 +26,7 @@ from rnaqaoa.qaoa import (
     warmup_parameters,
 )
 from rnaqaoa.qubo import (
+    DEGENERACY_ATOL,
     IsingModel,
     QuboParams,
     brute_force_solve,
@@ -172,6 +173,30 @@ def test_warmup_beats_random_start_on_most_heldout_instances(warmups):
         _, _, random_loss = optimize(problem, random_schedule, cfg, seed=0)
         wins += warm_loss <= random_loss
     assert wins >= 7
+
+
+# ---------------------------------------------------------------------------
+# problem masks
+
+
+@pytest.mark.parametrize("mixer", ["x", "parity_xy"])
+def test_problem_masks_match_per_state_oracle(suite, mixer):
+    for stems in suite:
+        problem = build_problem(stems, QuboParams(), mixer)
+        n, n_stems = problem.n_qubits, problem.n_stems
+        outcomes = [format(i, f"0{n}b") for i in range(2**n)]
+        optimum = max(problem.qubo.evaluate(b[:n_stems]) for b in outcomes)
+        assert problem.optimum == pytest.approx(optimum, abs=DEGENERACY_ATOL)
+        ground = [
+            problem.qubo.evaluate(b[:n_stems]) >= optimum - DEGENERACY_ATOL for b in outcomes
+        ]
+        infeasible = [
+            any(sum(int(b[q]) for q in ring) != 1 for ring in problem.mixer.rings)
+            for b in outcomes
+        ]
+        assert problem.ground_mask.tolist() == ground
+        assert problem.infeasible_mask.tolist() == infeasible
+        assert problem.infeasible_mask.any() == (mixer == "parity_xy")
 
 
 # ---------------------------------------------------------------------------
