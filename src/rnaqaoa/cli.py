@@ -15,7 +15,7 @@ from . import __version__
 from .errors import InputError, ResourceLimitError
 from .evaluation import noisy_replay, score, sweep_levels, sweep_noise
 from .instances import load_benchmark
-from .qaoa import build_problem, gate_count_report, solve, warmup_parameters
+from .qaoa import gate_count_report, solve, warmup_parameters
 from .qubo import brute_force_solve, build_qubo, model_to_dict, stem_labels
 from .rna import enumerate_stems, partition_domains
 from .simulator import NoiseSpec
@@ -117,9 +117,12 @@ def _parse_readout(raw: str | None) -> tuple[float, float]:
 
 def _parse_float_list(raw: str, flag: str) -> list[float]:
     try:
-        return [float(x) for x in raw.split(",") if x]
+        values = [float(x) for x in raw.split(",") if x]
     except ValueError as exc:
         raise InputError(f"{flag} expects comma-separated numbers, got {raw!r}") from exc
+    if not values:
+        raise InputError(f"{flag} needs at least one value")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +155,9 @@ def cmd_qubo(args) -> int:
     return _emit({"results": results, "manifest": manifest.to_dict()}, args)
 
 
-def _noisy_section(stems, cfg, result, noise):
-    problem = build_problem(stems, cfg.qubo, cfg.qaoa.mixer)
+def _noisy_section(cfg, result, noise):
     samples, ground, infeasible = noisy_replay(
-        problem, result.levels[-1].schedule, noise, cfg.qaoa.shots, cfg.qaoa.seed
+        result.problem, result.levels[-1].schedule, noise, cfg.qaoa.shots, cfg.qaoa.seed
     )
     return {
         "two_qubit_error": noise.two_qubit_error,
@@ -185,7 +187,7 @@ def cmd_solve(args) -> int:
         result = solve(stems, cfg_run.qubo, qcfg, warmup=cfg_run.warmup.get(mixer))
         doc = io_.solve_result_dict(result, stems, manifest, method)
         if len(stems) and (noise.two_qubit_error > 0.0 or any(noise.readout_flip)):
-            doc["noisy"] = _noisy_section(stems, cfg_run, result, noise)
+            doc["noisy"] = _noisy_section(cfg_run, result, noise)
         doc["gate_counts"] = _gate_count_dict(
             gate_count_report(stems, cfg.qubo, mixer, result.terminating_level)
         )
@@ -245,8 +247,12 @@ def cmd_sweep(args) -> int:
         instances = load_benchmark("small" if args.mode == "noise" else "suite")
         inputs = ["<packaged benchmark>"]
     mixers = tuple(args.mixers.split(","))
+    for mixer in mixers:
+        _checked(replace, cfg.qaoa, mixer=mixer)
     if args.mode == "levels":
         p_values = [int(x) for x in _parse_float_list(args.pmax_list, "--pmax-list")]
+        for cap in p_values:
+            _checked(replace, cfg.qaoa, p_max=cap)
         result = sweep_levels(
             instances, cfg.qubo, cfg.qaoa, p_values, mixers=mixers, warmup=cfg.warmup
         )

@@ -24,7 +24,6 @@ from .qaoa import (
     QaoaResult,
     ParameterSchedule,
     Problem,
-    build_problem,
     circuit_for_schedule,
     level_for_pmax,
     solve,
@@ -255,11 +254,10 @@ def sweep_noise(
                 continue
             ws = warmup.get(mixer) if warmup else None
             result = solve(stems, params, cfg, warmup=ws)
-            problem = build_problem(stems, params, mixer)
             rng = np.random.default_rng(cfg.seed)
             for noise in noises:
                 _, ground, infeasible = noisy_replay(
-                    problem, result.levels[-1].schedule, noise, shots,
+                    result.problem, result.levels[-1].schedule, noise, shots,
                     int(rng.integers(2**63)),
                 )
                 rows.append(

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from importlib.resources import files
 
 import numpy as np
@@ -248,7 +249,10 @@ class Problem:
         return tuple(g / self.phase_scale for g in schedule.gammas)
 
 
-def build_problem(stems: StemSet, params: QuboParams, mixer_kind: str) -> Problem:
+def _encode(
+    stems: StemSet, params: QuboParams, mixer_kind: str
+) -> tuple[QuboModel, tuple[Domain, ...] | None, IsingModel, MixerSpec]:
+    """Objective, domains (parity_xy only), Ising model and mixer of a stem set."""
     if mixer_kind not in MIXER_KINDS:
         raise ValueError(f"mixer must be one of {MIXER_KINDS}")
     qubo = build_qubo(stems, params)
@@ -260,13 +264,20 @@ def build_problem(stems: StemSet, params: QuboParams, mixer_kind: str) -> Proble
             + (f" + {len(domains)} dummies" if domains else "")
             + f") exceed the dense limit of {MAX_QUBITS}"
         )
+    if mixer_kind == "x":
+        mixer = MixerSpec.x_mixer(ising.n)
+    else:
+        mixer = MixerSpec.parity_xy(list(domains), ising.n)
+    return qubo, domains, ising, mixer
+
+
+def build_problem(stems: StemSet, params: QuboParams, mixer_kind: str) -> Problem:
+    qubo, domains, ising, mixer = _encode(stems, params, mixer_kind)
     cost = CostLayerSpec.from_ising(ising)
     spread = float(cost.diagonal.max() - cost.diagonal.min())
     if mixer_kind == "x":
-        mixer = MixerSpec.x_mixer(ising.n)
         initial = init_uniform(ising.n)
     else:
-        mixer = MixerSpec.parity_xy(list(domains), ising.n)
         initial = prepare_w_states(list(domains), ising.n)
     winners, optimum = brute_force_solve(qubo)
     index = np.arange(2**ising.n)
@@ -283,10 +294,26 @@ def build_problem(stems: StemSet, params: QuboParams, mixer_kind: str) -> Proble
     )
 
 
-def run_schedule(problem: Problem, schedule: ParameterSchedule) -> QuantumState:
-    """Alternating cost/mixer layers applied to the problem's initial state."""
-    state = problem.initial
-    for beta, gamma in zip(schedule.betas, problem.effective_gammas(schedule)):
+def run_schedule(
+    problem: Problem, schedule: ParameterSchedule | Sequence[ParameterSchedule]
+) -> QuantumState:
+    """Alternating cost/mixer layers applied to the problem's initial state.
+
+    A sequence of equal-level schedules runs as one stack, row k holding
+    the final state of schedule k exactly as a single run would give it.
+    """
+    if isinstance(schedule, ParameterSchedule):
+        state = problem.initial
+        layers = zip(schedule.betas, problem.effective_gammas(schedule))
+    else:
+        if len({s.p for s in schedule}) != 1:
+            raise ValueError("a stack needs one or more schedules of equal level")
+        state = QuantumState(np.tile(problem.initial.amplitudes, (len(schedule), 1)))
+        layers = zip(
+            zip(*(s.betas for s in schedule)),
+            zip(*(problem.effective_gammas(s) for s in schedule)),
+        )
+    for beta, gamma in layers:
         state = apply_cost_layer(state, problem.cost, gamma)
         state = apply_mixer(state, problem.mixer, beta)
     return state
@@ -312,6 +339,11 @@ class _BudgetExhausted(Exception):
 #: Scale of the Gaussian perturbation used to seed follow-up descents.
 _RESTART_JITTER = 0.25
 
+#: Largest stack of amplitudes one `run_schedule` call builds while
+#: optimizing; a gradient whose probes exceed it runs in several stacks,
+#: down to one state per stack at the qubit limit.
+STACK_BYTES = 64 * 2**20
+
 
 def optimize(
     problem: Problem,
@@ -324,6 +356,9 @@ def optimize(
     The first descent starts from the given schedule; any budget left after
     it converges funds further descents from seeded random starts, which
     keeps one bad warm-start basin from being inherited level after level.
+    SLSQP's forward-difference gradients take `fd_step` steps; the 2p probe
+    points of each gradient run through the layers as one stack, and each
+    counts as one evaluation, in order, exactly as if run one at a time.
     Returns the best schedule seen (the input counts as evaluation zero, so
     a zero budget returns it unchanged), its final state and its loss.
     """
@@ -332,27 +367,44 @@ def optimize(
     x0 = np.array(clipped.betas + clipped.gammas)
     bounds = [BETA_BOUNDS] * p + [GAMMA_BOUNDS] * p
     rng = np.random.default_rng(seed)
+    per_stack = max(1, STACK_BYTES // problem.initial.amplitudes.nbytes)
 
-    def state_at(x: np.ndarray) -> QuantumState:
-        return run_schedule(problem, ParameterSchedule(tuple(x[:p]), tuple(x[p:])))
+    def schedule_at(x: np.ndarray) -> ParameterSchedule:
+        return ParameterSchedule(tuple(x[:p]), tuple(x[p:]))
 
-    def loss_at(x: np.ndarray) -> float:
-        state = state_at(x)
-        if config.loss_mode == "exact":
-            return _expected_loss(
-                state.probabilities(), problem.cost.diagonal, config.optimizer_dropoff
-            )
-        drawn = sample(state, config.shots, int(rng.integers(2**63)))
-        return loss(drawn, problem.ising, config.optimizer_dropoff)
+    def losses_at(xs: list[np.ndarray]) -> list[float]:
+        out = []
+        for at in range(0, len(xs), per_stack):
+            stack = run_schedule(problem, [schedule_at(x) for x in xs[at:at + per_stack]])
+            if config.loss_mode == "exact":
+                out += [
+                    _expected_loss(probs, problem.cost.diagonal, config.optimizer_dropoff)
+                    for probs in stack.probabilities()
+                ]
+            else:
+                for amps in stack.amplitudes:
+                    drawn = sample(QuantumState(amps), config.shots, int(rng.integers(2**63)))
+                    out.append(loss(drawn, problem.ising, config.optimizer_dropoff))
+        return out
 
-    evals: list[tuple[float, np.ndarray]] = [(loss_at(x0), x0)]
+    evals: list[tuple[float, np.ndarray]] = [(losses_at([x0])[0], x0)]
+
+    def evaluate(xs: list[np.ndarray]) -> list[float]:
+        """Record each point's loss in order, stopping at the first point
+        past the budget."""
+        room = max(config.max_evaluations + 1 - len(evals), 0)
+        vals = losses_at(xs[:room])
+        evals.extend(zip(vals, xs))
+        if len(xs) > room:
+            raise _BudgetExhausted
+        return vals
 
     def fun(x: np.ndarray) -> float:
-        if len(evals) > config.max_evaluations:
-            raise _BudgetExhausted
-        val = loss_at(x)
-        evals.append((val, x.copy()))
-        return val
+        return evaluate([x.copy()])[0]
+
+    def gradient_probes(_fun, points) -> list[float]:
+        # SLSQP's `workers` map: stands in for map(_fun, points)
+        return evaluate([np.array(x, dtype=float) for x in points])
 
     lo = np.array([BETA_BOUNDS[0]] * p + [GAMMA_BOUNDS[0]] * p)
     hi = np.array([BETA_BOUNDS[1]] * p + [GAMMA_BOUNDS[1]] * p)
@@ -361,7 +413,8 @@ def optimize(
         try:
             minimize(
                 fun, start, method="SLSQP", bounds=bounds,
-                options={"maxiter": 500, "eps": config.fd_step, "ftol": 1e-8},
+                options={"maxiter": 500, "eps": config.fd_step, "ftol": 1e-8,
+                         "workers": gradient_probes},
             )
         except _BudgetExhausted:
             break
@@ -370,8 +423,8 @@ def optimize(
         _, anchor = min(evals, key=lambda t: t[0])
         start = np.clip(anchor + rng.normal(0.0, _RESTART_JITTER, 2 * p), lo, hi)
     best_val, best_x = min(evals, key=lambda t: t[0])
-    best = ParameterSchedule(tuple(best_x[:p]), tuple(best_x[p:]))
-    return best, state_at(best_x), best_val
+    best = schedule_at(best_x)
+    return best, run_schedule(problem, best), best_val
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +502,8 @@ class QaoaResult:
     mixer: str
     n_stems: int
     n_qubits: int
+    #: The problem that was solved; None for an empty stem set.
+    problem: Problem | None = field(default=None, compare=False, repr=False)
 
     @property
     def best_objective(self) -> float:
@@ -525,6 +580,7 @@ def solve(
         mixer=config.mixer,
         n_stems=problem.n_stems,
         n_qubits=problem.n_qubits,
+        problem=problem,
     )
 
 
@@ -590,14 +646,14 @@ def gate_count_report(
             cost_two_qubit_per_level=0, mixer_two_qubit_per_level=0,
             state_prep_two_qubit=0, domains=(),
         )
-    problem = build_problem(stems, params, mixer_kind)
+    qubo, _, ising, mixer = _encode(stems, params, mixer_kind)
     all_domains = partition_domains(stems)
     member_sets = [set(d.members) for d in all_domains]
 
     per_domain = []
     for dom, members in zip(all_domains, member_sets):
         same = sum(
-            1 for (i, j) in problem.qubo.quadratic
+            1 for (i, j) in qubo.quadratic
             if i in members and j in members
         )
         ring = dom.ring()
@@ -610,7 +666,7 @@ def gate_count_report(
             )
         )
 
-    cost_per_level = 2 * sum(1 for v in problem.ising.J.values() if v)
+    cost_per_level = 2 * sum(1 for v in ising.J.values() if v)
     if mixer_kind == "x":
         mixer_per_level = 0
         prep = 0
@@ -620,13 +676,13 @@ def gate_count_report(
     report = GateCountReport(
         mixer=mixer_kind,
         levels=levels,
-        n_qubits=problem.n_qubits,
+        n_qubits=ising.n,
         cost_two_qubit_per_level=cost_per_level,
         mixer_two_qubit_per_level=mixer_per_level,
         state_prep_two_qubit=prep,
         domains=tuple(per_domain),
     )
     # sanity: counts above must match the emitted circuits
-    assert cost_per_level == two_qubit_gate_count(cost_layer_ops(problem.ising, 1.0))
-    assert mixer_per_level == two_qubit_gate_count(mixer_layer_ops(problem.mixer, 1.0))
+    assert cost_per_level == two_qubit_gate_count(cost_layer_ops(ising, 1.0))
+    assert mixer_per_level == two_qubit_gate_count(mixer_layer_ops(mixer, 1.0))
     return report

@@ -5,7 +5,9 @@ Two execution paths cover different needs:
 * Layer operations (`apply_cost_layer`, `apply_x_mixer`,
   `apply_parity_xy_mixer`) act on whole layers at once: the cost layer is a
   diagonal phase multiply and each XX+YY pair rotation is applied as an
-  exact 4x4 unitary.  This is the fast path used by the noiseless solver.
+  exact 4x4 unitary.  They take one state or a stack of states, one per
+  row, so a batch of circuits pays the per-layer Python overhead once.
+  This is the fast path used by the noiseless solver.
 * `simulate_circuit` executes an explicit gate list in which every
   entangling operation is decomposed down to CNOT/CZ.  This path feeds the
   Monte-Carlo noise model (`run_noisy`), the gate-count report and the
@@ -22,7 +24,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,31 +40,43 @@ from .rna import Domain
 
 @dataclass(frozen=True)
 class QuantumState:
-    """Complex amplitudes over n qubits.  Treated as immutable; operations
-    return new states."""
+    """Complex amplitudes over n qubits: one state of shape (2^n,) or a stack
+    of B states of shape (B, 2^n), one per row.  Treated as immutable;
+    operations return new states."""
 
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        n = int(round(math.log2(len(amps))))
-        if 2**n != len(amps):
+        amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
+        if amps.ndim not in (1, 2):
+            raise ValueError("amplitudes must be one state or a stack of rows")
+        size = amps.shape[-1]
+        n = max(size.bit_length() - 1, 0)
+        if size != 1 << n:
             raise ValueError("amplitude vector length must be a power of two")
         if n > MAX_QUBITS:
             raise ResourceLimitError(f"{n} qubits exceed the dense limit of {MAX_QUBITS}")
-        total = float(np.sum(np.abs(amps) ** 2))
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"state is not normalized: sum |a|^2 = {total}")
+        rows = amps.view(float).reshape(-1, 1, 2 * size)  # real, imag interleaved
+        for total in (rows @ rows.transpose(0, 2, 1)).ravel().tolist():
+            if abs(total - 1.0) > 1e-9:
+                raise ValueError(f"state is not normalized: sum |a|^2 = {total}")
         object.__setattr__(self, "amplitudes", amps)
 
     @property
     def n(self) -> int:
-        return int(round(math.log2(len(self.amplitudes))))
+        return self.amplitudes.shape[-1].bit_length() - 1
+
+    @property
+    def stacked(self) -> bool:
+        return self.amplitudes.ndim == 2
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
-    def norm(self) -> float:
+    def norm(self) -> float | np.ndarray:
+        """Euclidean norm; one per row for a stack."""
+        if self.stacked:
+            return np.linalg.norm(self.amplitudes, axis=-1)
         return float(np.linalg.norm(self.amplitudes))
 
 
@@ -104,12 +119,15 @@ class MixerSpec:
     kind "x": independent exp(i*beta*X) rotations on every qubit.
     kind "parity_xy": per-domain rings of XX+YY pair rotations applied in
     two sublayers (odd-position pairs, then even-position pairs).  A ring of
-    two qubits applies its single pair once.
+    two qubits applies its single pair once.  `xy_pairs` holds, per pair in
+    application order, the strided view onto its |01> and |10> amplitudes,
+    computed once here.
     """
 
     kind: str
     n_qubits: int
     rings: tuple[tuple[int, ...], ...] = ()
+    xy_pairs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("x", "parity_xy"):
@@ -124,6 +142,11 @@ class MixerSpec:
                 seen.update(ring)
             if seen and max(seen) >= self.n_qubits:
                 raise ValueError("ring qubit outside register")
+        pairs = tuple(
+            _pair_view(self.n_qubits, a, b)
+            for ring in self.rings for a, b in _parity_ordered_pairs(ring)
+        )
+        object.__setattr__(self, "xy_pairs", pairs)
 
     @classmethod
     def x_mixer(cls, n_qubits: int) -> "MixerSpec":
@@ -133,6 +156,21 @@ class MixerSpec:
     def parity_xy(cls, domains: list[Domain], n_qubits: int) -> "MixerSpec":
         rings = tuple(dom.ring() for dom in domains)
         return cls(kind="parity_xy", n_qubits=n_qubits, rings=rings)
+
+
+def _pair_view(n: int, a: int, b: int) -> tuple[tuple, tuple, int]:
+    """Shape, byte strides and byte offset, within one state, of a view onto
+    the two amplitudes of qubits (a, b) that the pair rotation mixes.
+
+    With lo < hi the qubits in index order, the view's axes run over qubits
+    0..lo-1, then over the pair: lo = 0, hi = 1 first and lo = 1, hi = 0
+    second, then over the qubits between lo and hi, then over those after hi.
+    """
+    lo, hi = sorted((a, b))
+    item = np.dtype(complex).itemsize
+    lo_step, hi_step = 2 ** (n - lo - 1) * item, 2 ** (n - hi - 1) * item
+    shape = (2**lo, 2, 2 ** (hi - lo - 1), 2 ** (n - hi - 1))
+    return shape, (2 * lo_step, lo_step - hi_step, 2 * hi_step, item), hi_step
 
 
 @dataclass(frozen=True)
@@ -196,52 +234,56 @@ class SampleSet:
 
 # ---------------------------------------------------------------------------
 # fast-path layer application
+#
+# Each layer takes one state with one angle, or a stack of B states with B
+# angles (or one angle for all rows).  The angle scalars and phase vectors
+# are computed per row exactly as for a single state, and every array
+# operation acts on each element alone with its operands in a fixed order,
+# so row k of a stacked result equals the single-state result bit for bit.
 
 
-def apply_cost_layer(state: QuantumState, spec: CostLayerSpec, gamma: float) -> QuantumState:
+#: One angle, or one per row of a stack.
+Angles = float | Sequence[float]
+
+
+def _row_angles(state: QuantumState, angle: Angles) -> list[float]:
+    """One angle per row of the state; a single angle serves every row."""
+    angles = [float(angle)] if np.ndim(angle) == 0 else [float(a) for a in angle]
+    rows = len(state.amplitudes) if state.stacked else 1
+    if len(angles) == 1:
+        return angles * rows
+    if len(angles) != rows:
+        raise ValueError(f"{len(angles)} angles for {rows} states")
+    return angles
+
+
+def _per_row(values: list, axes: int) -> np.ndarray:
+    """Complex per-row scalars shaped to broadcast over `axes` trailing axes."""
+    return np.array(values, dtype=complex).reshape((-1,) + (1,) * axes)
+
+
+def apply_cost_layer(state: QuantumState, spec: CostLayerSpec, gamma: Angles) -> QuantumState:
     """Diagonal phase layer: a_x *= exp(-i * gamma * E(x))."""
-    phases = np.exp(-1j * gamma * spec.diagonal)
+    phases = [np.exp(-1j * g * spec.diagonal) for g in _row_angles(state, gamma)]
+    # Bound to a name, never a bare temporary: numpy reuses a large temporary
+    # operand as the output and swaps the factors, and complex multiplication
+    # is not commutative in the last bit.
+    phases = np.array(phases) if state.stacked else phases[0]
     return QuantumState(state.amplitudes * phases)
 
 
-def _apply_1q(amps: np.ndarray, n: int, q: int, m: np.ndarray) -> np.ndarray:
-    t = amps.reshape(2**q, 2, -1)
-    out = np.empty_like(t)
-    out[:, 0, :] = m[0, 0] * t[:, 0, :] + m[0, 1] * t[:, 1, :]
-    out[:, 1, :] = m[1, 0] * t[:, 0, :] + m[1, 1] * t[:, 1, :]
-    return out.reshape(-1)
-
-
-def apply_x_mixer(state: QuantumState, beta: float) -> QuantumState:
+def apply_x_mixer(state: QuantumState, beta: Angles) -> QuantumState:
     """exp(i*beta*X) on every qubit."""
-    c, s = math.cos(beta), math.sin(beta)
-    m = np.array([[c, 1j * s], [1j * s, c]])
+    betas = _row_angles(state, beta)
+    c = _per_row([math.cos(b) for b in betas], 3)
+    s = _per_row([1j * math.sin(b) for b in betas], 3)
     amps = state.amplitudes
-    n = state.n
-    for q in range(n):
-        amps = _apply_1q(amps, n, q, m)
-    return QuantumState(amps)
-
-
-def _pair_indices(n: int, a: int, b: int):
-    """Index tuples selecting the |01> and |10> components of qubits (a, b)."""
-    i01 = tuple(0 if ax == a else (1 if ax == b else np.s_[:]) for ax in range(n))
-    i10 = tuple(1 if ax == a else (0 if ax == b else np.s_[:]) for ax in range(n))
-    return i01, i10
-
-
-def _apply_xy_pair(tensor: np.ndarray, n: int, a: int, b: int, beta: float):
-    """exp(i*beta*(XX+YY)) on qubits (a, b), in place on the [2]*n tensor.
-
-    The generator acts only on span{|01>, |10>} where it equals 2X; |00> and
-    |11> are untouched.
-    """
-    c, s = math.cos(2 * beta), math.sin(2 * beta)
-    i01, i10 = _pair_indices(n, a, b)
-    v01 = tensor[i01].copy()
-    v10 = tensor[i10].copy()
-    tensor[i01] = c * v01 + 1j * s * v10
-    tensor[i10] = 1j * s * v01 + c * v10
+    for q in range(state.n):
+        t = amps.reshape(len(betas), 2**q, 2, -1)
+        # |0> -> c|0> + s|1>, |1> -> s|0> + c|1>: the flip pairs each
+        # amplitude with its partner on qubit q
+        amps = c * t + s * t[:, :, ::-1]
+    return QuantumState(amps.reshape(state.amplitudes.shape))
 
 
 def ring_pairs(ring: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -260,24 +302,33 @@ def _parity_ordered_pairs(ring: tuple[int, ...]) -> list[tuple[int, int]]:
     return odd + even
 
 
-def apply_parity_xy_mixer(state: QuantumState, spec: MixerSpec, beta: float) -> QuantumState:
+def apply_parity_xy_mixer(state: QuantumState, spec: MixerSpec, beta: Angles) -> QuantumState:
     """Parity-partitioned XX+YY layer over each domain ring.
 
     Odd-position neighbour pairs are applied first, then even-position
     pairs; each pair rotation preserves the total excitation number, so the
-    per-domain Hamming weight is conserved exactly.
+    per-domain Hamming weight is conserved exactly.  A pair rotation
+    exp(i*beta*(XX+YY)) acts only on span{|01>, |10>}, where the generator
+    equals 2X; |00> and |11> are untouched.
     """
     if spec.kind != "parity_xy":
         raise ValueError("mixer spec is not parity_xy")
-    n = state.n
-    tensor = state.amplitudes.copy().reshape([2] * n)
-    for ring in spec.rings:
-        for a, b in _parity_ordered_pairs(ring):
-            _apply_xy_pair(tensor, n, a, b, beta)
-    return QuantumState(tensor.reshape(-1))
+    betas = _row_angles(state, beta)
+    c = _per_row([math.cos(2 * b) for b in betas], 4)
+    s = _per_row([1j * math.sin(2 * b) for b in betas], 4)
+    amps = state.amplitudes.copy()
+    rows = amps.reshape(len(betas), -1)
+    # each pair's two mixed amplitudes, in place through its strided view;
+    # the flip pairs each with its partner
+    for shape, strides, offset in spec.xy_pairs:
+        pair = np.ndarray(
+            (len(rows),) + shape, complex, rows, offset, (rows.strides[0],) + strides
+        )
+        pair[...] = c * pair + s * pair[:, :, ::-1]
+    return QuantumState(amps)
 
 
-def apply_mixer(state: QuantumState, spec: MixerSpec, beta: float) -> QuantumState:
+def apply_mixer(state: QuantumState, spec: MixerSpec, beta: Angles) -> QuantumState:
     if spec.kind == "x":
         return apply_x_mixer(state, beta)
     return apply_parity_xy_mixer(state, spec, beta)
@@ -492,6 +543,8 @@ def sample(state: QuantumState, shots: int, seed: int) -> SampleSet:
     """Multinomial draw from the measurement distribution, seeded."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    if state.stacked:
+        raise ValueError("sample takes one state, not a stack")
     rng = np.random.default_rng(seed)
     idx = _draw_outcomes(state.probabilities(), shots, rng)
     return _counts_to_sampleset(idx, state.n, shots)

@@ -287,6 +287,12 @@ def test_cli_noisy_block_matches_per_state_oracle(tmp_path):
     ["solve", "{fasta}", "--readout", "2,0"],
     ["sweep", "noise", "--instances", "{fasta}", "--p2-list", "-0.5"],
     ["sweep", "noise", "--instances", "{fasta}", "--level", "0"],
+    ["sweep", "noise", "--instances", "{fasta}", "--mixers", "bogus"],
+    ["sweep", "noise", "--instances", "{fasta}", "--p2-list", ""],
+    ["sweep", "levels", "--instances", "{fasta}", "--mixers", "bogus"],
+    ["sweep", "levels", "--instances", "{fasta}", "--pmax-list", "0"],
+    ["sweep", "levels", "--instances", "{fasta}", "--pmax-list", "1,3"],
+    ["sweep", "levels", "--instances", "{fasta}", "--pmax-list", ""],
 ])
 def test_cli_bad_noise_flags_fail_before_solving(tmp_path, monkeypatch, argv):
     def no_solve(*args, **kwargs):
@@ -296,6 +302,46 @@ def test_cli_bad_noise_flags_fail_before_solving(tmp_path, monkeypatch, argv):
     monkeypatch.setattr("rnaqaoa.evaluation.solve", no_solve)
     fasta = str(_write_hairpin(tmp_path))
     assert main([a.format(fasta=fasta) for a in argv]) == 1
+
+
+def _count_oracle_calls(monkeypatch) -> list:
+    import rnaqaoa.qaoa as qaoa_mod
+
+    calls = []
+    oracle = qaoa_mod.brute_force_solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return oracle(*args, **kwargs)
+
+    monkeypatch.setattr(qaoa_mod, "brute_force_solve", counted)
+    return calls
+
+
+def test_cli_noisy_solve_runs_the_oracle_once(tmp_path, monkeypatch):
+    from rnaqaoa.instances import load_benchmark
+
+    stems = load_benchmark("small")[0]
+    assert stems.sequence.id == "small_000"
+    fasta = tmp_path / "small.fasta"
+    io_.write_fasta([stems.sequence], fasta)
+    calls = _count_oracle_calls(monkeypatch)
+    assert main(["solve", str(fasta), "--method", "qaoa-xy", "--noise-p2", "0.01",
+                 "--out", str(tmp_path / "out.json")]) == 0
+    assert len(calls) == 1
+
+
+def test_sweep_noise_runs_the_oracle_once_per_instance_and_mixer(monkeypatch):
+    from rnaqaoa.evaluation import sweep_noise
+    from rnaqaoa.instances import load_benchmark
+    from rnaqaoa.qaoa import QaoaConfig
+    from rnaqaoa.qubo import QuboParams
+
+    calls = _count_oracle_calls(monkeypatch)
+    result = sweep_noise(load_benchmark("small")[:2], QuboParams(), QaoaConfig(), [0.01],
+                         shots=20, mixers=("x", "parity_xy"))
+    assert len(result.rows) == 4
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize as scipy_minimize
 
+import rnaqaoa.qaoa as qaoa_mod
 from rnaqaoa.errors import ResourceLimitError
 from rnaqaoa.instances import generate_structured_instances, random_sequence
 from rnaqaoa.qaoa import (
@@ -232,6 +234,126 @@ def test_optimize_sampled_mode_runs_and_is_deterministic():
     a = optimize(problem, start, cfg, seed=3)
     b = optimize(problem, start, cfg, seed=3)
     assert a[0] == b[0] and a[2] == b[2]
+
+
+# ---------------------------------------------------------------------------
+# batched finite-difference gradients
+
+
+def _without_workers(monkeypatch):
+    """Make SLSQP evaluate every gradient probe alone, through `fun`."""
+    def sequential(*args, options, **kwargs):
+        options = {k: v for k, v in options.items() if k != "workers"}
+        return scipy_minimize(*args, options=options, **kwargs)
+
+    monkeypatch.setattr(qaoa_mod, "minimize", sequential)
+
+
+def _recording(monkeypatch, name):
+    """Replace qaoa.<name> by a wrapper that records every value it returns."""
+    seen = []
+    fn = getattr(qaoa_mod, name)
+
+    def record(*args):
+        seen.append(fn(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(qaoa_mod, name, record)
+    return seen
+
+
+def _spy_on_batches(monkeypatch):
+    """Record (probes, losses computed) for gradients cut by the budget, and
+    the largest stack run."""
+    log = {"cut": [], "largest": 0}
+    losses = _recording(monkeypatch, "_expected_loss")
+    run = qaoa_mod.run_schedule
+
+    def recording_run(problem, schedule):
+        if not isinstance(schedule, ParameterSchedule):
+            log["largest"] = max(log["largest"], len(schedule))
+        return run(problem, schedule)
+
+    def spying(*args, options, **kwargs):
+        probes = options["workers"]
+
+        def spy(fun, points):
+            points = list(points)
+            before = len(losses)
+            try:
+                return probes(fun, points)
+            except qaoa_mod._BudgetExhausted:
+                log["cut"].append((len(points), len(losses) - before))
+                raise
+
+        return scipy_minimize(*args, options={**options, "workers": spy}, **kwargs)
+
+    monkeypatch.setattr(qaoa_mod, "run_schedule", recording_run)
+    monkeypatch.setattr(qaoa_mod, "minimize", spying)
+    return log
+
+
+@pytest.mark.parametrize("mixer", ["x", "parity_xy"])
+def test_batched_gradients_reproduce_sequential_solves(suite, warmups, mixer, monkeypatch):
+    cfg = QaoaConfig(mixer=mixer, p_max=4, seed=0)
+    instances = suite[::8]  # 4 instances, the largest included
+    with monkeypatch.context() as m:
+        log = _spy_on_batches(m)
+        batched = [solve(stems, QuboParams(), cfg, warmup=warmups[mixer]) for stems in instances]
+    # some levels ran out of budget partway through a gradient
+    assert any(0 < done < probes for probes, done in log["cut"])
+    _without_workers(monkeypatch)
+    sequential = [solve(stems, QuboParams(), cfg, warmup=warmups[mixer]) for stems in instances]
+    assert [repr(r) for r in batched] == [repr(r) for r in sequential]
+
+
+def test_chunked_gradients_reproduce_whole_stacks(suite, warmups, monkeypatch):
+    stems = suite[8]
+    cfg = QaoaConfig(mixer="parity_xy", p_max=4, seed=0)
+    whole = solve(stems, QuboParams(), cfg, warmup=warmups["parity_xy"])
+    state_bytes = 16 * 2**whole.n_qubits
+    monkeypatch.setattr(qaoa_mod, "STACK_BYTES", 3 * state_bytes)
+    log = _spy_on_batches(monkeypatch)
+    chunked = solve(stems, QuboParams(), cfg, warmup=warmups["parity_xy"])
+    assert log["largest"] == 3
+    assert repr(chunked) == repr(whole)
+
+
+def test_batched_sampled_loss_draws_in_evaluation_order(suite, monkeypatch):
+    problem = build_problem(suite[8], QuboParams(), "x")
+    start = ParameterSchedule((0.3, 0.2), (0.5, 0.7))
+    cfg = QaoaConfig(loss_mode="sampled", max_evaluations=60, shots=200)
+    runs = []
+    for batched in (True, False):
+        with monkeypatch.context() as m:
+            if not batched:
+                _without_workers(m)
+            losses = _recording(m, "loss")
+            runs.append((optimize(problem, start, cfg, seed=3), losses))
+    (a, a_losses), (b, b_losses) = runs
+    assert len(a_losses) == cfg.max_evaluations + 1
+    assert a_losses == b_losses
+    assert a[0] == b[0] and a[2] == b[2]
+    assert np.array_equal(a[1].amplitudes, b[1].amplitudes)
+
+
+@pytest.mark.parametrize("budget", [0, 1, 7, 40])
+def test_budget_counts_every_gradient_probe(budget, monkeypatch):
+    problem = build_problem(single_stem_instance(), QuboParams(), "parity_xy")
+    start = ParameterSchedule((0.3, 0.2), (0.5, 0.7))
+    losses = _recording(monkeypatch, "_expected_loss")
+    optimize(problem, start, QaoaConfig(max_evaluations=budget), seed=0)
+    assert len(losses) == budget + 1  # the start point, then the budget
+
+
+def test_run_schedule_stack_rows_equal_single_runs():
+    problem = build_problem(single_stem_instance(), QuboParams(), "parity_xy")
+    schedules = [ParameterSchedule((0.1 * k, 0.4), (0.3, -0.2 * k)) for k in range(5)]
+    stack = run_schedule(problem, schedules)
+    for row, schedule in zip(stack.amplitudes, schedules):
+        assert np.array_equal(row, run_schedule(problem, schedule).amplitudes)
+    with pytest.raises(ValueError, match="equal level"):
+        run_schedule(problem, [schedules[0], ParameterSchedule((0.1,), (0.2,))])
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,21 @@ def test_quantum_state_requires_normalization():
         QuantumState(np.array([1.0, 1.0], dtype=complex))
 
 
+def test_quantum_state_checks_every_row_of_a_stack():
+    rows = np.stack([random_state(3, 0).amplitudes, random_state(3, 1).amplitudes])
+    assert QuantumState(rows).stacked
+    rows[1] *= 1.01
+    with pytest.raises(ValueError, match="not normalized"):
+        QuantumState(rows)
+
+
+def test_quantum_state_rejects_bad_shapes():
+    with pytest.raises(ValueError, match="power of two"):
+        QuantumState(np.ones((2, 3), dtype=complex) / math.sqrt(3))
+    with pytest.raises(ValueError, match="one state or a stack"):
+        QuantumState(np.ones((1, 1, 2), dtype=complex) / math.sqrt(2))
+
+
 def test_init_uniform_guard():
     with pytest.raises(ResourceLimitError):
         init_uniform(0)
@@ -232,6 +247,51 @@ def test_x_mixer_matches_decomposed_circuit():
     assert np.allclose(fast.amplitudes, slow.amplitudes, atol=1e-11)
 
 
+def _random_stack(n, rows, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=(rows, 2**n)) + 1j * rng.normal(size=(rows, 2**n))
+    return QuantumState(amps / np.linalg.norm(amps, axis=1, keepdims=True))
+
+
+def _ring_mixer(n):
+    """Rings of three qubits over the register, the last one two or three long."""
+    starts = list(range(0, n - 1, 3))
+    rings = tuple(tuple(range(a, min(a + 3, n))) for a in starts[:-1])
+    rings += (tuple(range(starts[-1], n)),)
+    return MixerSpec("parity_xy", n, rings)
+
+
+@pytest.mark.parametrize("rows", [1, 16])
+@pytest.mark.parametrize("n", [3, 6, 11])
+@pytest.mark.parametrize("layer", ["cost", "x", "parity_xy"])
+def test_stacked_layer_rows_equal_single_state_calls(layer, n, rows):
+    # 16 rows at 11 qubits take 512 KiB, past numpy's size for reusing
+    # temporaries as outputs, which swaps the factors of a product
+    rng = np.random.default_rng(n * 100 + rows)
+    stack = _random_stack(n, rows, seed=n + rows)
+    angles = rng.uniform(-7.0, 7.0, rows).tolist()
+    spec = CostLayerSpec(ising=None, diagonal=rng.normal(size=2**n) * 10.0)
+    mixer = _ring_mixer(n)
+    apply = {
+        "cost": lambda state, a: apply_cost_layer(state, spec, a),
+        "x": apply_x_mixer,
+        "parity_xy": lambda state, a: apply_parity_xy_mixer(state, mixer, a),
+    }[layer]
+    out = apply(stack, angles)
+    assert out.amplitudes.shape == (rows, 2**n)
+    for k in range(rows):
+        single = apply(QuantumState(stack.amplitudes[k]), angles[k])
+        assert np.array_equal(out.amplitudes[k], single.amplitudes)
+
+
+def test_stacked_layer_takes_one_angle_for_all_rows_or_one_per_row():
+    stack = _random_stack(3, 4, seed=9)
+    same = apply_x_mixer(stack, 0.3)
+    assert np.array_equal(same.amplitudes, apply_x_mixer(stack, [0.3] * 4).amplitudes)
+    with pytest.raises(ValueError, match="3 angles for 4 states"):
+        apply_x_mixer(stack, [0.1, 0.2, 0.3])
+
+
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -245,6 +305,11 @@ def test_sample_uniform_concentration():
     samples = sample(init_uniform(2), 10**6, seed=2)
     for _, count in samples.entries:
         assert count / 10**6 == pytest.approx(0.25, abs=0.002)
+
+
+def test_sample_refuses_a_stack():
+    with pytest.raises(ValueError, match="not a stack"):
+        sample(_random_stack(2, 2, seed=0), 10, 0)
 
 
 def test_sample_deterministic():
