@@ -275,6 +275,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_warmup(args) -> int:
     cfg = _resolved(args)
+    if args.count < 1:
+        raise InputError("--count must be >= 1")
+    if args.grid_points < 1:
+        raise InputError("--grid-points must be >= 1")
     if args.instances:
         instances = [_enumerate(s, cfg) for s in io_.parse_fasta(args.instances)]
     else:

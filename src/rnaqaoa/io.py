@@ -22,7 +22,14 @@ from .errors import InputError
 from .evaluation import ReferenceStructure, ScoreReport
 from .qaoa import ParameterSchedule, QaoaConfig, QaoaResult
 from .qubo import QuboParams
-from .rna import DEFAULT_MIN_LOOP, DEFAULT_MIN_STEM, Sequence, StemSet, structure_from_selection
+from .rna import (
+    DEFAULT_MIN_LOOP,
+    DEFAULT_MIN_STEM,
+    Sequence,
+    StemSet,
+    pairs_cross,
+    structure_from_selection,
+)
 from .simulator import SampleSet
 
 CONFIG_ENV_VAR = "RNAQAOA_CONFIG"
@@ -125,11 +132,6 @@ def parse_dotbracket(text: str, seq: Sequence) -> ReferenceStructure:
     return ReferenceStructure(sequence_id=seq.id, pairs=annotation.pairs())
 
 
-def _pairs_cross(p: tuple[int, int], q: tuple[int, int]) -> bool:
-    (i1, j1), (i2, j2) = p, q
-    return (i1 < i2 < j1 < j2) or (i2 < i1 < j2 < j1)
-
-
 def pairs_to_dotbracket(pairs, length: int) -> str:
     """Greedy layer assignment; fails above four crossing orders."""
     layers: list[list[tuple[int, int]]] = []
@@ -139,7 +141,7 @@ def pairs_to_dotbracket(pairs, length: int) -> str:
         if not (1 <= i < j <= length):
             raise InputError(f"pair ({i}, {j}) outside sequence of length {length}")
         for layer, members in enumerate(layers):
-            if not any(_pairs_cross(pair, q) for q in members):
+            if not any(pairs_cross(pair, q) for q in members):
                 members.append(pair)
                 break
         else:
@@ -161,6 +163,12 @@ class StemOptions:
     min_len: int = DEFAULT_MIN_STEM
     min_loop: int = DEFAULT_MIN_LOOP
     maximal_only: bool = False
+
+    def __post_init__(self):
+        if self.min_len < 1:
+            raise ValueError("min_len must be >= 1")
+        if self.min_loop < 0:
+            raise ValueError("min_loop must be >= 0")
 
 
 @dataclass(frozen=True)

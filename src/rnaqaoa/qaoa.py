@@ -88,6 +88,8 @@ class QaoaConfig:
             raise ValueError("optimizer_dropoff must be a proportion")
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.mixer not in MIXER_KINDS:
             raise ValueError(f"mixer must be one of {MIXER_KINDS}")
         if self.loss_mode not in ("exact", "sampled"):
@@ -448,6 +450,8 @@ def warmup_parameters(
     """
     if not instances:
         raise ValueError("need at least one calibration instance")
+    if grid_points < 1:
+        raise ValueError("grid_points must be >= 1")
     betas_axis = np.linspace(BETA_BOUNDS[0], BETA_BOUNDS[1], grid_points)
     gammas_axis = np.linspace(0.0, 2.0 * math.pi, grid_points)
     optima = []

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ResourceLimitError
-from .rna import Domain, Stem, StemSet, stems_overlap, stems_pseudoknot
+from .rna import Domain, Stem, StemSet, pairs_cross, stems_overlap
 
 #: Hard cap for exhaustive enumeration and dense simulation alike.
 MAX_QUBITS = 24
@@ -103,10 +103,13 @@ class IsingModel:
 
 
 def penalty(s1: Stem, s2: Stem, params: QuboParams) -> float:
-    """Pairwise coupling: overlap is penalized, crossing is weighed by c_p."""
+    """Pairwise coupling: overlap is penalized, crossing is weighed by c_p.
+
+    Overlap is tested once; a non-overlapping pair crosses iff its spans do.
+    """
     if stems_overlap(s1, s2):
         return -(s1.k + s2.k)
-    if stems_pseudoknot(s1, s2):
+    if pairs_cross(s1.span, s2.span):
         return params.c_p * (s1.k + s2.k)
     return 0.0
 

@@ -5,7 +5,17 @@ the pairing matrix as an anti-diagonal run of 1s.  Stems are the binary
 decision units of the folding objective: a secondary structure is a subset of
 the enumerated stems.  This module knows nothing about the objective itself;
 it only provides the combinatorics (enumeration, overlap, crossing, domain
-partition) that the QUBO layer builds on.
+partition) that the QUBO layer builds on.  Each of these decisions has one
+definition here:
+
+- pairing: one table of the A-U, C-G and G-U pairs, read by `can_pair`,
+  `StemSet` validation and `pairing_matrix`;
+- overlap: a stem of length k occupies the two closed intervals
+  [i, i+k-1] and [j-k+1, j], and two stems overlap iff some interval of one
+  meets some interval of the other;
+- crossing: `pairs_cross` tells whether two base pairs interleave
+  (i1 < i2 < j1 < j2 or the mirror); two stems cross iff their outer spans
+  do and they do not overlap.
 
 All indices in the public types are 1-based, matching the usual convention
 for sequence positions.  Numpy matrices are 0-based internally.
@@ -22,8 +32,12 @@ from .errors import InputError
 
 BASES = "ACGU"
 
-# Watson-Crick pairs plus the G-U wobble.
-_PAIRABLE = frozenset({frozenset("AU"), frozenset("CG"), frozenset("GU")})
+_CODES = {base: code for code, base in enumerate(BASES)}
+
+#: Watson-Crick pairs plus the G-U wobble, indexed by base code: entry
+#: [x, y] is True iff bases BASES[x] and BASES[y] can pair.
+_PAIRS = ("AU", "CG", "GU")
+_PAIR_TABLE = np.array([[a + b in _PAIRS or b + a in _PAIRS for b in BASES] for a in BASES])
 
 #: Minimum number of unpaired bases between two pairing partners.  A base
 #: cannot bond with its immediate neighbour, so 1 is the weakest physically
@@ -72,9 +86,9 @@ class Stem:
     """A run of `k` consecutive base pairs.
 
     `i` is the first base of the 5' run, `j` the last base of the 3' run,
-    both 1-based.  The pairs are (i, j), (i+1, j-1), ..., (i+k-1, j-k+1).
-    A zero-length stem (k=0, i=j=0) is the dummy placeholder used by the
-    domain encoding and occupies no positions.
+    both 1-based, and k >= 1.  The pairs are (i, j), (i+1, j-1), ...,
+    (i+k-1, j-k+1), so the stem occupies the closed intervals [i, i+k-1]
+    and [j-k+1, j], the first strictly left of the second.
     """
 
     i: int
@@ -82,11 +96,7 @@ class Stem:
     k: int
 
     def __post_init__(self):
-        if self.k == 0:
-            if (self.i, self.j) != (0, 0):
-                raise ValueError("dummy stem must be Stem(0, 0, 0)")
-            return
-        if self.k < 0 or self.i < 1:
+        if self.k < 1 or self.i < 1:
             raise ValueError(f"bad stem ({self.i}, {self.j}, {self.k})")
         if self.i + self.k - 1 >= self.j - self.k + 1:
             raise ValueError(f"stem runs touch or cross: ({self.i}, {self.j}, {self.k})")
@@ -94,11 +104,10 @@ class Stem:
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((self.i + t, self.j - t) for t in range(self.k))
 
-    def positions(self) -> frozenset[int]:
-        """All base positions occupied by the stem."""
-        return frozenset(range(self.i, self.i + self.k)) | frozenset(
-            range(self.j - self.k + 1, self.j + 1)
-        )
+    @property
+    def intervals(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """The 5' and 3' runs as closed position intervals (first, last)."""
+        return (self.i, self.i + self.k - 1), (self.j - self.k + 1, self.j)
 
     @property
     def span(self) -> tuple[int, int]:
@@ -108,7 +117,7 @@ class Stem:
 
 def can_pair(a: str, b: str) -> bool:
     """True iff {a, b} is A-U, C-G or the G-U wobble."""
-    return frozenset((a, b)) in _PAIRABLE
+    return a in _CODES and b in _CODES and bool(_PAIR_TABLE[_CODES[a], _CODES[b]])
 
 
 def pairing_matrix(seq: Sequence, min_loop: int = DEFAULT_MIN_LOOP) -> np.ndarray:
@@ -117,14 +126,10 @@ def pairing_matrix(seq: Sequence, min_loop: int = DEFAULT_MIN_LOOP) -> np.ndarra
     Entry [i-1, j-1] is True iff bases i and j can pair and are separated by
     more than `min_loop` positions.  Symmetric with a zero diagonal.
     """
-    n = len(seq)
-    codes = np.frombuffer(seq.bases.encode(), dtype=np.uint8)
-    mat = np.zeros((n, n), dtype=bool)
-    pair_codes = {tuple(sorted(map(ord, p))) for p in ("AU", "CG", "GU")}
-    for a, b in itertools.combinations(range(n), 2):
-        if b - a > min_loop and tuple(sorted((codes[a], codes[b]))) in pair_codes:
-            mat[a, b] = mat[b, a] = True
-    return mat
+    codes = np.array([_CODES[b] for b in seq.bases], dtype=np.intp)
+    pos = np.arange(len(codes))
+    band = np.abs(pos[:, None] - pos[None, :]) > min_loop
+    return _PAIR_TABLE[codes[:, None], codes[None, :]] & band
 
 
 @dataclass(frozen=True)
@@ -144,8 +149,6 @@ class StemSet:
         seen = set()
         n = len(self.sequence)
         for s in ordered:
-            if s.k == 0:
-                raise ValueError("dummy stems do not belong in a StemSet")
             if s in seen:
                 raise ValueError(f"duplicate stem {s}")
             seen.add(s)
@@ -184,6 +187,8 @@ def enumerate_stems(
     """
     if min_len < 1:
         raise ValueError("min_len must be >= 1")
+    if min_loop < 0:
+        raise ValueError("min_loop must be >= 0")
     n = len(seq)
     mat = pairing_matrix(seq, min_loop)
 
@@ -209,20 +214,38 @@ def enumerate_stems(
 
 
 def stems_overlap(s1: Stem, s2: Stem) -> bool:
-    """True iff the two stems occupy at least one common base position."""
-    return bool(s1.positions() & s2.positions())
+    """True iff some interval of one stem meets some interval of the other.
+
+    That is, iff the two stems occupy at least one common base position.
+    Closed intervals [lo, hi] and [lo', hi'] meet iff lo <= hi' and lo' <= hi.
+    """
+    (a1, b1), (c1, d1) = s1.intervals
+    (a2, b2), (c2, d2) = s2.intervals
+    return (
+        (a1 <= b2 and a2 <= b1)
+        or (a1 <= d2 and c2 <= b1)
+        or (c1 <= b2 and a2 <= d1)
+        or (c1 <= d2 and c2 <= d1)
+    )
+
+
+def pairs_cross(p: tuple[int, int], q: tuple[int, int]) -> bool:
+    """True iff base pairs p = (i1, j1) and q = (i2, j2) interleave.
+
+    Interleaving means i1 < i2 < j1 < j2 or i2 < i1 < j2 < j1; nested and
+    side-by-side pairs do not cross.
+    """
+    (i1, j1), (i2, j2) = p, q
+    return (i1 < i2 < j1 < j2) or (i2 < i1 < j2 < j1)
 
 
 def stems_pseudoknot(s1: Stem, s2: Stem) -> bool:
-    """True iff the stems' outer spans cross (non-nested interleaving).
+    """True iff the stems' outer spans cross and the stems do not overlap.
 
     Overlapping stems are never reported as pseudoknots; overlap and
     crossing are mutually exclusive relations.
     """
-    if s1.k == 0 or s2.k == 0 or stems_overlap(s1, s2):
-        return False
-    (i1, j1), (i2, j2) = s1.span, s2.span
-    return (i1 < i2 < j1 < j2) or (i2 < i1 < j2 < j1)
+    return not stems_overlap(s1, s2) and pairs_cross(s1.span, s2.span)
 
 
 @dataclass(frozen=True)
@@ -230,8 +253,8 @@ class Domain:
     """A maximal group of mutually overlapping stems.
 
     At most one member of a domain can appear in a conflict-free structure.
-    `dummy_index` is the qubit index of the appended zero-length dummy stem
-    that encodes "select none of this domain".
+    `dummy_index` is the index of the domain's extra qubit, appended after
+    the stem qubits, whose set bit encodes "select none of this domain".
     """
 
     members: tuple[int, ...]

@@ -304,6 +304,35 @@ def test_cli_bad_noise_flags_fail_before_solving(tmp_path, monkeypatch, argv):
     assert main([a.format(fasta=fasta) for a in argv]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["stems", "{fasta}", "--min-stem", "0"],
+    ["qubo", "{fasta}", "--min-stem", "0"],
+    ["solve", "{fasta}", "--min-stem", "0"],
+    ["stems", "{fasta}", "--min-loop", "-2"],
+    ["qubo", "{fasta}", "--min-loop", "-2"],
+    ["solve", "{fasta}", "--min-loop", "-2"],
+    ["stems", "{fasta}", "--config", "{bad_config}"],
+    ["solve", "{fasta}", "--seed", "-1"],
+    ["sweep", "levels", "--instances", "{fasta}", "--seed", "-1"],
+    ["warmup", "--instances", "{fasta}", "--grid-points", "0", "--out-config", "{out}"],
+    ["warmup", "--instances", "{fasta}", "--count", "0", "--out-config", "{out}"],
+    ["warmup", "--instances", "{fasta}", "--count", "-1", "--out-config", "{out}"],
+])
+def test_cli_bad_stem_seed_and_warmup_flags_fail_before_any_work(tmp_path, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the flags were checked")
+
+    for target in ("rnaqaoa.cli.enumerate_stems", "rnaqaoa.cli.solve",
+                   "rnaqaoa.evaluation.solve", "rnaqaoa.cli.warmup_parameters"):
+        monkeypatch.setattr(target, no_work)
+    bad_config = tmp_path / "bad.json"
+    bad_config.write_text(json.dumps({"stems": {"min_len": 0}}))
+    out = tmp_path / "warm.json"
+    fasta = str(_write_hairpin(tmp_path))
+    assert main([a.format(fasta=fasta, bad_config=bad_config, out=out) for a in argv]) == 1
+    assert not out.exists()
+
+
 def _count_oracle_calls(monkeypatch) -> list:
     import rnaqaoa.qaoa as qaoa_mod
 

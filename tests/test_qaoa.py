@@ -155,6 +155,11 @@ def test_warmup_requires_instances():
         warmup_parameters([], QuboParams(), "x")
 
 
+def test_warmup_rejects_empty_grid():
+    with pytest.raises(ValueError, match="grid_points"):
+        warmup_parameters([single_stem_instance()], QuboParams(), "x", grid_points=0)
+
+
 def test_shipped_warmup_loads_for_both_mixers():
     for mixer in ("x", "parity_xy"):
         schedule = shipped_warmup(mixer)

@@ -2,10 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rnaqaoa.errors import InputError
+from rnaqaoa.qubo import QuboParams, penalty
 from rnaqaoa.rna import (
     Sequence,
     Stem,
@@ -75,6 +76,19 @@ def test_pairing_matrix_respects_min_loop():
     assert pairing_matrix(seq, min_loop=1)[0, 2]
 
 
+@given(sequences, st.integers(min_value=0, max_value=4))
+@settings(max_examples=200)
+def test_pairing_matrix_matches_can_pair_loop(seq, min_loop):
+    n = len(seq)
+    want = np.zeros((n, n), dtype=bool)
+    for a in range(n):
+        for b in range(n):
+            want[a, b] = abs(a - b) > min_loop and can_pair(seq.bases[a], seq.bases[b])
+    got = pairing_matrix(seq, min_loop)
+    assert got.dtype == bool and got.shape == (n, n)
+    assert (got == want).all()
+
+
 # ---------------------------------------------------------------------------
 # stems
 
@@ -82,8 +96,18 @@ def test_pairing_matrix_respects_min_loop():
 def test_stem_validation():
     with pytest.raises(ValueError):
         Stem(1, 5, 3)  # innermost pair would sit on the diagonal
-    assert Stem(0, 0, 0).positions() == frozenset()
+    with pytest.raises(ValueError):
+        Stem(0, 0, 0)
+    with pytest.raises(ValueError):
+        Stem(1, 9, 0)
     assert Stem(1, 9, 3).pairs() == ((1, 9), (2, 8), (3, 7))
+
+
+def test_enumerate_rejects_bad_lengths():
+    with pytest.raises(ValueError, match="min_len"):
+        enumerate_stems(Sequence(PKB092), min_len=0)
+    with pytest.raises(ValueError, match="min_loop"):
+        enumerate_stems(Sequence(PKB092), min_loop=-1)
 
 
 def test_enumerate_single_stem_instance():
@@ -160,6 +184,46 @@ def test_pseudoknot_crossing_true_nested_false():
     assert not stems_pseudoknot(*nested)
     side_by_side = (Stem(1, 9, 3), Stem(11, 20, 3))
     assert not stems_pseudoknot(*side_by_side)
+
+
+@st.composite
+def stems_near_start(draw):
+    """A stem within the first ~30 bases, so random pairs often touch or abut."""
+    i = draw(st.integers(min_value=1, max_value=12))
+    k = draw(st.integers(min_value=1, max_value=4))
+    loop = draw(st.integers(min_value=0, max_value=4))
+    return Stem(i, i + 2 * k - 1 + loop, k)
+
+
+def _occupied(stem):
+    return {pos for pair in stem.pairs() for pos in pair}
+
+
+def _some_pairs_cross(s1, s2):
+    return any(
+        a < c < b < d or c < a < d < b for a, b in s1.pairs() for c, d in s2.pairs()
+    )
+
+
+@given(stems_near_start(), stems_near_start(), st.sampled_from([-1.0, -0.5, 0.0, 0.7]))
+@example(Stem(1, 10, 3), Stem(3, 12, 2), 0.5)  # runs share one end position
+@example(Stem(1, 8, 2), Stem(8, 14, 2), 0.5)  # 3' run meets the other 5' run
+@example(Stem(1, 10, 3), Stem(4, 7, 1), 0.5)  # nested, both runs abut
+@example(Stem(1, 10, 3), Stem(4, 13, 3), 0.5)  # crossing, 5' runs abut
+@example(Stem(1, 10, 3), Stem(11, 20, 3), 0.5)  # side by side, abutting
+@settings(max_examples=400)
+def test_relations_match_position_set_oracle(s1, s2, c_p):
+    overlap = bool(_occupied(s1) & _occupied(s2))
+    crossing = not overlap and _some_pairs_cross(s1, s2)
+    assert stems_overlap(s1, s2) == stems_overlap(s2, s1) == overlap
+    assert stems_pseudoknot(s1, s2) == stems_pseudoknot(s2, s1) == crossing
+    if overlap:
+        want = -(s1.k + s2.k)
+    elif crossing:
+        want = c_p * (s1.k + s2.k)
+    else:
+        want = 0.0
+    assert penalty(s1, s2, QuboParams(c_p=c_p)) == want
 
 
 @given(sequences)
