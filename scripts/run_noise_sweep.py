@@ -29,13 +29,13 @@ def main():
     config = load_config()
     qaoa = replace(config.qaoa, seed=args.seed)
     instances = load_benchmark("small")
-    t0 = time.time()
+    t0 = time.perf_counter()
     result = sweep_noise(
         instances, config.qubo, qaoa, args.p2,
         level=args.level, readout=tuple(args.readout), shots=args.shots,
         warmup=config.warmup,
     )
-    print(f"{len(result.rows)} cells in {time.time() - t0:.0f}s")
+    print(f"{len(result.rows)} cells in {time.perf_counter() - t0:.1f}s")
     for entry in result.summary:
         print(
             f"{entry['mixer']:>10} p2={entry['p2']}: "

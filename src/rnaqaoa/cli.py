@@ -250,7 +250,10 @@ def cmd_sweep(args) -> int:
     for mixer in mixers:
         _checked(replace, cfg.qaoa, mixer=mixer)
     if args.mode == "levels":
-        p_values = [int(x) for x in _parse_float_list(args.pmax_list, "--pmax-list")]
+        levels = _parse_float_list(args.pmax_list, "--pmax-list")
+        if not all(x.is_integer() for x in levels):
+            raise InputError(f"--pmax-list expects whole levels, got {args.pmax_list!r}")
+        p_values = [int(x) for x in levels]
         for cap in p_values:
             _checked(replace, cfg.qaoa, p_max=cap)
         result = sweep_levels(
@@ -283,7 +286,10 @@ def cmd_warmup(args) -> int:
         instances = [_enumerate(s, cfg) for s in io_.parse_fasta(args.instances)]
     else:
         instances = load_benchmark("suite")
-    instances = instances[: args.count]
+    # stem-free sequences have nothing to calibrate, as in the sweeps
+    instances = [stems for stems in instances if len(stems)][: args.count]
+    if not instances:
+        raise InputError("no input sequence has stems to calibrate on")
     mixers = ("x", "parity_xy") if args.mixer == "both" else (args.mixer,)
     warmup = dict(cfg.warmup)
     for mixer in mixers:

@@ -37,6 +37,7 @@ from .qubo import (
 )
 from .rna import Domain, StemSet, partition_domains
 from .simulator import (
+    STACK_BYTES,
     CostLayerSpec,
     MixerSpec,
     QuantumState,
@@ -341,11 +342,6 @@ class _BudgetExhausted(Exception):
 #: Scale of the Gaussian perturbation used to seed follow-up descents.
 _RESTART_JITTER = 0.25
 
-#: Largest stack of amplitudes one `run_schedule` call builds while
-#: optimizing; a gradient whose probes exceed it runs in several stacks,
-#: down to one state per stack at the qubit limit.
-STACK_BYTES = 64 * 2**20
-
 
 def optimize(
     problem: Problem,
@@ -446,7 +442,10 @@ def warmup_parameters(
     mean of per-instance grid argmins is a good start for any instance.  The
     gamma grid covers [0, 2*pi] only: the distribution is invariant under
     (beta, gamma) -> (pi - beta, -gamma), so every optimum has a mirror in
-    the non-negative half and averaging across mirrors would cancel.
+    the non-negative half and averaging across mirrors would cancel.  The
+    last mixer angle's grid runs as one stack of states (chunks of at most
+    `STACK_BYTES`), each row equal to a single-state run, so the first of
+    equal minima still wins.
     """
     if not instances:
         raise ValueError("need at least one calibration instance")
@@ -459,6 +458,7 @@ def warmup_parameters(
         problem = build_problem(stems, params, mixer_kind)
         diag = problem.cost.diagonal
         scale = problem.phase_scale
+        per_stack = max(1, STACK_BYTES // problem.initial.amplitudes.nbytes)
         best = (math.inf, None)
         for g1 in gammas_axis:
             for b1 in betas_axis:
@@ -468,11 +468,15 @@ def warmup_parameters(
                 )
                 for g2 in gammas_axis:
                     cooled = apply_cost_layer(mid, problem.cost, g2 / scale)
-                    for b2 in betas_axis:
-                        final = apply_mixer(cooled, problem.mixer, b2)
-                        val = _expected_loss(final.probabilities(), diag, dropoff)
-                        if val < best[0]:
-                            best = (val, (b1, b2, g1, g2))
+                    # the b2 axis as stacks, one row per angle, in grid order
+                    for at in range(0, grid_points, per_stack):
+                        b2s = betas_axis[at:at + per_stack]
+                        rows = QuantumState(np.tile(cooled.amplitudes, (len(b2s), 1)))
+                        finals = apply_mixer(rows, problem.mixer, b2s)
+                        for b2, probs in zip(b2s, finals.probabilities()):
+                            val = _expected_loss(probs, diag, dropoff)
+                            if val < best[0]:
+                                best = (val, (b1, b2, g1, g2))
         optima.append(best[1])
     arr = np.array(optima)
     return ParameterSchedule(

@@ -10,8 +10,12 @@ Two execution paths cover different needs:
   This is the fast path used by the noiseless solver.
 * `simulate_circuit` executes an explicit gate list in which every
   entangling operation is decomposed down to CNOT/CZ.  This path feeds the
-  Monte-Carlo noise model (`run_noisy`), the gate-count report and the
-  circuit trace export, and is cross-checked against the fast path in tests.
+  gate-count report and the circuit trace export, and is cross-checked
+  against the fast path in tests.  Its gate kernel acts on a stack of
+  states, one per row: `simulate_circuit` is the one-row case, and the
+  Monte-Carlo noise model (`run_noisy`) draws each shot's trajectory shot
+  by shot, then replays all error-hit trajectories as one stack, applying
+  each Pauli error only to the rows that drew it.
 
 Bit conventions: qubit 0 is the most significant bit of the basis index, so
 `format(index, f"0{n}b")[q]` is the value of qubit q and reshaping the
@@ -476,26 +480,36 @@ def _param_1q(name: str, theta: float) -> np.ndarray:
     raise ValueError(f"unknown gate {name!r}")
 
 
-def _apply_op(tensor: np.ndarray, n: int, op: GateOp) -> None:
-    """Apply one primitive gate in place on the [2]*n tensor."""
-    if op.name == "cnot":
+def _apply_op(amps: np.ndarray, op: GateOp) -> None:
+    """Apply one primitive gate in place to every row of a C-contiguous
+    (B, 2^n) stack of amplitudes.
+
+    Each row is updated on its own with the same element-wise arithmetic in
+    the same operand order, so a row of a stack ends up bit for bit equal to
+    the same state run as a stack of one.
+    """
+    rows = len(amps)
+    if op.is_two_qubit:
         a, b = op.qubits
-        ia = tuple(1 if ax == a else np.s_[:] for ax in range(n))
-        sub = tensor[ia]
-        sub[...] = np.flip(sub, axis=b - (1 if b > a else 0)).copy()
-    elif op.name == "cz":
-        a, b = op.qubits
-        i11 = tuple(1 if ax in (a, b) else np.s_[:] for ax in range(n))
-        tensor[i11] *= -1
+        lo, hi = min(a, b), max(a, b)
+        t = amps.reshape(rows, 2**lo, 2, 2 ** (hi - lo - 1), 2, -1)
+        if op.name == "cz":
+            t[:, :, 1, :, 1] *= -1
+        elif a < b:  # cnot: flip the target where the control is 1
+            sub = t[:, :, 1]
+            sub[...] = sub[:, :, :, ::-1].copy()
+        else:
+            sub = t[:, :, :, :, 1]
+            sub[...] = sub[:, :, ::-1].copy()
     else:
         m = _FIXED_1Q.get(op.name)
         if m is None:
             m = _param_1q(op.name, op.param)
-        q = op.qubits[0]
-        moved = np.moveaxis(tensor, q, 0)
-        v0 = m[0, 0] * moved[0] + m[0, 1] * moved[1]
-        v1 = m[1, 0] * moved[0] + m[1, 1] * moved[1]
-        moved[0], moved[1] = v0, v1
+        t = amps.reshape(rows, 2 ** op.qubits[0], 2, -1)
+        t0, t1 = t[:, :, 0], t[:, :, 1]
+        v0 = m[0, 0] * t0 + m[0, 1] * t1
+        v1 = m[1, 0] * t0 + m[1, 1] * t1
+        t0[...], t1[...] = v0, v1
 
 
 def simulate_circuit(
@@ -503,10 +517,10 @@ def simulate_circuit(
 ) -> QuantumState:
     """Execute a primitive gate list on |0...0> (or `initial`)."""
     state = initial if initial is not None else zero_state(n_qubits)
-    tensor = state.amplitudes.copy().reshape([2] * n_qubits)
+    amps = state.amplitudes.reshape(1, 2**n_qubits).copy()
     for op in ops:
-        _apply_op(tensor, n_qubits, op)
-    return QuantumState(tensor.reshape(-1))
+        _apply_op(amps, op)
+    return QuantumState(amps[0])
 
 
 def two_qubit_gate_count(ops: list[GateOp]) -> int:
@@ -554,11 +568,17 @@ _PAULI_PAIRS = [
     (a, b) for a, b in itertools.product("ixyz", repeat=2) if (a, b) != ("i", "i")
 ]
 
+#: Largest stack of amplitudes built at once, in bytes; a batch that needs
+#: more runs in several stacks, down to one state per stack.
+STACK_BYTES = 64 * 2**20
 
-def _apply_pauli_error(tensor: np.ndarray, n: int, qubits: tuple[int, int], which: int):
-    for name, q in zip(_PAULI_PAIRS[which], qubits):
-        if name != "i":
-            _apply_op(tensor, n, _g(name, q))
+
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """Per-row cumulative distribution as `Generator.choice(p=...)` builds
+    it from `_draw_outcomes`' normalized probabilities."""
+    cdf = (probs / probs.sum(axis=-1, keepdims=True)).cumsum(axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
 
 
 def run_noisy(
@@ -573,10 +593,19 @@ def run_noisy(
     After each two-qubit gate, with probability `two_qubit_error` one of the
     15 non-identity two-qubit Paulis (chosen uniformly) hits the gate's
     qubits.  Measured bits are then flipped according to the per-qubit
-    readout rates.  Error locations for a shot are drawn in one batch; shots
-    without any error reuse the cached noiseless distribution.  With a zero
-    gate-error rate no trajectory randomness is consumed, so the draw
-    matches `sample(simulate_circuit(ops, n), shots, seed)` exactly.
+    readout rates.
+
+    The draws are made shot by shot, in the order a one-shot-at-a-time loop
+    makes them: the error locations of the shot in one batch, one Pauli per
+    hit, then the one uniform that `Generator.choice` would spend on the
+    shot's outcome.  Shots without any error read that uniform through the
+    cached noiseless distribution.  The error-hit trajectories are then
+    replayed together as stacks of at most `STACK_BYTES` of amplitudes,
+    each Pauli applied only to the rows that drew it, and each outcome is
+    the one `choice` would return, so the samples equal the one-shot loop's
+    exactly.  With a zero gate-error rate no trajectory randomness is
+    consumed, so the draw matches `sample(simulate_circuit(ops, n), shots,
+    seed)` exactly.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -589,20 +618,38 @@ def run_noisy(
     if p2 == 0.0 or not two_q:
         outcomes = _draw_outcomes(probs0, shots, rng)
     else:
-        outcomes = np.empty(shots, dtype=int)
+        # the draws, shot by shot
+        uniforms = np.empty(shots)
+        hit_shots: list[int] = []
+        hit_errors: list[list[tuple[int, int]]] = []  # (gate position, Pauli)
         for shot in range(shots):
             hits = np.flatnonzero(rng.random(len(two_q)) < p2)
-            if hits.size == 0:
-                probs = probs0
-            else:
-                err_at = {two_q[h]: int(rng.integers(15)) for h in hits}
-                tensor = zero_state(n_qubits).amplitudes.reshape([2] * n_qubits)
-                for t, op in enumerate(ops):
-                    _apply_op(tensor, n_qubits, op)
-                    if t in err_at:
-                        _apply_pauli_error(tensor, n_qubits, op.qubits, err_at[t])
-                probs = np.abs(tensor.reshape(-1)) ** 2
-            outcomes[shot] = _draw_outcomes(probs, 1, rng)[0]
+            if hits.size:
+                hit_shots.append(shot)
+                hit_errors.append([(two_q[h], int(rng.integers(15))) for h in hits])
+            uniforms[shot] = rng.random()
+        outcomes = np.searchsorted(_cdf(probs0), uniforms, side="right")
+        # the error-hit trajectories, replayed as stacks
+        per_stack = max(1, STACK_BYTES // ideal.amplitudes.nbytes)
+        for at in range(0, len(hit_shots), per_stack):
+            errors = hit_errors[at:at + per_stack]
+            amps = np.array([zero_state(n_qubits).amplitudes for _ in errors])
+            rows_at: dict[int, dict[int, list[int]]] = {}  # gate -> Pauli -> rows
+            for row, shot_errors in enumerate(errors):
+                for t, which in shot_errors:
+                    rows_at.setdefault(t, {}).setdefault(which, []).append(row)
+            for t, op in enumerate(ops):
+                _apply_op(amps, op)
+                for which, rows in rows_at.get(t, {}).items():
+                    hit = amps[rows]
+                    for name, q in zip(_PAULI_PAIRS[which], op.qubits):
+                        if name != "i":
+                            _apply_op(hit, _g(name, q))
+                    amps[rows] = hit
+            shot_at = hit_shots[at:at + per_stack]
+            cdf = _cdf(QuantumState(amps).probabilities())
+            # side="right" search in each row's non-decreasing CDF
+            outcomes[shot_at] = (cdf <= uniforms[shot_at, None]).sum(axis=-1)
 
     rates = noise.flip_rates(n_qubits)
     if np.any(rates > 0):

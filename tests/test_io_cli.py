@@ -293,6 +293,7 @@ def test_cli_noisy_block_matches_per_state_oracle(tmp_path):
     ["sweep", "levels", "--instances", "{fasta}", "--pmax-list", "0"],
     ["sweep", "levels", "--instances", "{fasta}", "--pmax-list", "1,3"],
     ["sweep", "levels", "--instances", "{fasta}", "--pmax-list", ""],
+    ["sweep", "levels", "--instances", "{fasta}", "--pmax-list", "2.7"],
 ])
 def test_cli_bad_noise_flags_fail_before_solving(tmp_path, monkeypatch, argv):
     def no_solve(*args, **kwargs):
@@ -443,6 +444,40 @@ def test_cli_warmup_writes_config(tmp_path):
     # emitted config round-trips through the loader
     cfg = io_.load_config(out_cfg)
     assert cfg.warmup["x"].p == 2
+
+
+def test_cli_warmup_skips_stem_free_sequences(tmp_path, monkeypatch):
+    from rnaqaoa import cli
+
+    fasta = tmp_path / "mixed.fasta"
+    fasta.write_text(">bare\nAAAAAAAAAA\n>hairpin\nCUACGAUAG\n")
+    calibrate = cli.warmup_parameters
+    seen = []
+
+    def recording(instances, *args, **kwargs):
+        seen.append([stems.sequence.id for stems in instances])
+        return calibrate(instances, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "warmup_parameters", recording)
+    out_cfg = tmp_path / "warm.json"
+    assert main(["warmup", "--instances", str(fasta), "--mixer", "x",
+                 "--grid-points", "2", "--out-config", str(out_cfg)]) == 0
+    assert seen == [["hairpin"]]
+    assert io_.load_config(out_cfg).warmup["x"].p == 2
+
+
+def test_cli_warmup_without_any_stems_is_an_input_error(tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("calibration ran without instances")
+
+    monkeypatch.setattr("rnaqaoa.cli.warmup_parameters", no_work)
+    fasta = tmp_path / "bare.fasta"
+    fasta.write_text(">bare\nAAAAAAAAAA\n>short\nGC\n")
+    out_cfg = tmp_path / "warm.json"
+    assert main(["warmup", "--instances", str(fasta), "--mixer", "x",
+                 "--grid-points", "2", "--out-config", str(out_cfg)]) == 1
+    assert "stems" in capsys.readouterr().err
+    assert not out_cfg.exists()
 
 
 def test_cli_exit_code_input_error(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -36,7 +37,13 @@ from rnaqaoa.qubo import (
     ising_energy,
 )
 from rnaqaoa.rna import Sequence, enumerate_stems, structure_from_selection
-from rnaqaoa.simulator import SampleSet, sample, simulate_circuit
+from rnaqaoa.simulator import (
+    SampleSet,
+    apply_cost_layer,
+    apply_mixer,
+    sample,
+    simulate_circuit,
+)
 
 
 def single_stem_instance():
@@ -158,6 +165,42 @@ def test_warmup_requires_instances():
 def test_warmup_rejects_empty_grid():
     with pytest.raises(ValueError, match="grid_points"):
         warmup_parameters([single_stem_instance()], QuboParams(), "x", grid_points=0)
+
+
+def _warmup_grid_loop(instances, mixer, grid_points):
+    """Slow reference for `warmup_parameters`: every grid point run alone."""
+    betas = np.linspace(BETA_BOUNDS[0], BETA_BOUNDS[1], grid_points)
+    gammas = np.linspace(0.0, 2.0 * math.pi, grid_points)
+    optima = []
+    for stems in instances:
+        problem = build_problem(stems, QuboParams(), mixer)
+        scale = problem.phase_scale
+        best = (math.inf, None)
+        for g1, b1, g2, b2 in itertools.product(gammas, betas, gammas, betas):
+            state = apply_cost_layer(problem.initial, problem.cost, g1 / scale)
+            state = apply_mixer(state, problem.mixer, b1)
+            state = apply_cost_layer(state, problem.cost, g2 / scale)
+            state = apply_mixer(state, problem.mixer, b2)
+            val = qaoa_mod._expected_loss(state.probabilities(), problem.cost.diagonal, 0.0)
+            if val < best[0]:  # the first of equal minima wins
+                best = (val, (b1, b2, g1, g2))
+        optima.append(best[1])
+    arr = np.array(optima)
+    return ParameterSchedule(
+        betas=(float(arr[:, 0].mean()), float(arr[:, 1].mean())),
+        gammas=(float(arr[:, 2].mean()), float(arr[:, 3].mean())),
+    )
+
+
+@pytest.mark.parametrize("mixer", ["x", "parity_xy"])
+def test_warmup_grid_stacks_equal_the_point_by_point_loop(suite, mixer, monkeypatch):
+    instances = [suite[0], suite[18]]  # 3 and 7 qubits (x), 5 and 10 (parity_xy)
+    expected = _warmup_grid_loop(instances, mixer, 4)
+    assert warmup_parameters(instances, QuboParams(), mixer, grid_points=4) == expected
+    # stacks of three rows on the larger instance: its beta_2 axis splits 3 + 1
+    largest = max(16 * 2**build_problem(s, QuboParams(), mixer).n_qubits for s in instances)
+    monkeypatch.setattr(qaoa_mod, "STACK_BYTES", 3 * largest)
+    assert warmup_parameters(instances, QuboParams(), mixer, grid_points=4) == expected
 
 
 def test_shipped_warmup_loads_for_both_mixers():

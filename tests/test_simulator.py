@@ -1,11 +1,15 @@
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rnaqaoa.simulator as sim_mod
 from rnaqaoa.errors import ResourceLimitError
+from rnaqaoa.qaoa import build_problem, circuit_for_schedule, shipped_warmup
 from rnaqaoa.qubo import IsingModel, QuboParams, build_qubo, to_ising
 from rnaqaoa.rna import Domain, Sequence, enumerate_stems, partition_domains
 from rnaqaoa.simulator import (
@@ -422,3 +426,102 @@ def test_simulate_circuit_preserves_norm(beta, gamma):
     extra = qaoa_circuit_ops(spec, MixerSpec.x_mixer(n), [beta], [gamma])
     state = simulate_circuit(ops + extra, n)
     assert state.norm() == pytest.approx(1.0, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# batched trajectory replay against the one-shot-at-a-time loop
+
+_PAULIS = list(itertools.product("ixyz", repeat=2))[1:]  # all but ("i", "i")
+
+
+def _per_shot_run_noisy(ops, n, noise, shots, seed):
+    """Slow reference for `run_noisy`: one trajectory per shot, replayed
+    alone, its outcome drawn by `Generator.choice`.  Returns the samples
+    and the number of trajectories that drew at least one error."""
+    rng = np.random.default_rng(seed)
+    p2 = noise.two_qubit_error
+    probs0 = simulate_circuit(ops, n).probabilities()
+    two_q = [t for t, op in enumerate(ops) if op.is_two_qubit]
+    replayed = 0
+    if p2 == 0.0 or not two_q:
+        outcomes = rng.choice(2**n, size=shots, p=probs0 / probs0.sum())
+    else:
+        outcomes = np.empty(shots, dtype=int)
+        for shot in range(shots):
+            hits = np.flatnonzero(rng.random(len(two_q)) < p2)
+            probs = probs0
+            if hits.size:
+                replayed += 1
+                state, done = zero_state(n), 0
+                for h in hits:
+                    t = two_q[h]
+                    pauli = zip(_PAULIS[int(rng.integers(15))], ops[t].qubits)
+                    errors = [GateOp(name, (q,)) for name, q in pauli if name != "i"]
+                    state = simulate_circuit(ops[done:t + 1] + errors, n, initial=state)
+                    done = t + 1
+                probs = simulate_circuit(ops[done:], n, initial=state).probabilities()
+            outcomes[shot] = rng.choice(2**n, size=1, p=probs / probs.sum())[0]
+    rates = noise.flip_rates(n)
+    if np.any(rates > 0):
+        bits = ((outcomes[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1).astype(np.int8)
+        u = rng.random((shots, n))
+        flip_prob = np.where(bits == 0, rates[None, :, 0], rates[None, :, 1])
+        bits ^= (u < flip_prob).astype(np.int8)
+        outcomes = bits @ (1 << np.arange(n - 1, -1, -1))
+    counts = Counter(int(i) for i in outcomes)
+    entries = tuple((format(i, f"0{n}b"), c) for i, c in counts.items())
+    return SampleSet(entries=entries, shots=shots), replayed
+
+
+def _level2_circuits(small_suite, mixer):
+    schedule = shipped_warmup(mixer)
+    for stems in small_suite:
+        problem = build_problem(stems, QuboParams(), mixer)
+        yield circuit_for_schedule(problem, schedule), problem.n_qubits
+
+
+@pytest.mark.parametrize("p2", [0.001, 0.02, 0.3])
+@pytest.mark.parametrize("mixer", ["x", "parity_xy"])
+def test_run_noisy_equals_per_shot_loop(small_suite, mixer, p2):
+    for ops, n in _level2_circuits(small_suite, mixer):
+        for readout in ((0.0, 0.0), (0.01, 0.02)):
+            noise = NoiseSpec(two_qubit_error=p2, readout_flip=readout)
+            for seed in (0, 1, 2):
+                expected, _ = _per_shot_run_noisy(ops, n, noise, 80, seed)
+                assert run_noisy(ops, n, noise, 80, seed) == expected
+
+
+def test_run_noisy_split_into_small_stacks_is_unchanged(small_suite, monkeypatch):
+    ops, n = next(_level2_circuits(small_suite[1:], "parity_xy"))
+    noise = NoiseSpec(two_qubit_error=0.05)
+    expected, replayed = _per_shot_run_noisy(ops, n, noise, 100, 4)
+    assert replayed > 6
+    stacks = []
+    kernel = sim_mod._apply_op
+
+    def recording(amps, op):
+        stacks.append(len(amps))
+        kernel(amps, op)
+
+    monkeypatch.setattr(sim_mod, "STACK_BYTES", 3 * 16 * 2**n)
+    monkeypatch.setattr(sim_mod, "_apply_op", recording)
+    assert run_noisy(ops, n, noise, 100, 4) == expected
+    assert max(stacks) == 3
+
+
+def test_run_noisy_starts_each_error_hit_trajectory_from_zero_state(small_suite, monkeypatch):
+    ops, n = next(_level2_circuits(small_suite, "x"))
+    noise = NoiseSpec(two_qubit_error=0.02)
+    _, replayed = _per_shot_run_noisy(ops, n, noise, 200, 9)
+    assert replayed > 0
+    calls = []
+    start = sim_mod.zero_state
+
+    def counted(n_qubits):
+        calls.append(n_qubits)
+        return start(n_qubits)
+
+    monkeypatch.setattr(sim_mod, "zero_state", counted)
+    run_noisy(ops, n, noise, 200, 9)
+    # one for the noiseless circuit, then one per replayed trajectory
+    assert len(calls) == 1 + replayed
