@@ -156,8 +156,8 @@ def cmd_qubo(args) -> int:
 
 
 def _noisy_section(cfg, result, noise):
-    samples, ground, infeasible = noisy_replay(
-        result.problem, result.levels[-1].schedule, noise, cfg.qaoa.shots, cfg.qaoa.seed
+    [(samples, ground, infeasible)] = noisy_replay(
+        result.problem, result.levels[-1].schedule, [(noise, cfg.qaoa.seed)], cfg.qaoa.shots
     )
     return {
         "two_qubit_error": noise.two_qubit_error,

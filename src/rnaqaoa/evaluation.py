@@ -28,7 +28,7 @@ from .qaoa import (
     level_for_pmax,
     solve,
 )
-from .simulator import NoiseSpec, SampleSet, run_noisy
+from .simulator import NoiseSpec, SampleSet, run_noisy, simulate_circuit
 
 
 @dataclass(frozen=True)
@@ -212,17 +212,25 @@ def sweep_levels(
 
 
 def noisy_replay(
-    problem: Problem, schedule: ParameterSchedule, noise: NoiseSpec, shots: int, seed: int
-) -> tuple[SampleSet, float, float]:
-    """Trajectory samples of the schedule's circuit, with their ground-state
-    and infeasible frequencies read from the problem's masks."""
+    problem: Problem,
+    schedule: ParameterSchedule,
+    runs: list[tuple[NoiseSpec, int]],
+    shots: int,
+) -> list[tuple[SampleSet, float, float]]:
+    """Trajectory samples of the schedule's circuit for each (noise, seed)
+    run, with their ground-state and infeasible frequencies read from the
+    problem's masks.  The noiseless circuit is simulated once for all runs."""
     ops = circuit_for_schedule(problem, schedule)
-    samples = run_noisy(ops, problem.n_qubits, noise, shots, seed)
-    return (
-        samples,
-        samples.frequency_in(problem.ground_mask),
-        samples.frequency_in(problem.infeasible_mask),
-    )
+    ideal = simulate_circuit(ops, problem.n_qubits)
+    out = []
+    for noise, seed in runs:
+        samples = run_noisy(ops, problem.n_qubits, noise, shots, seed, ideal=ideal)
+        out.append((
+            samples,
+            samples.frequency_in(problem.ground_mask),
+            samples.frequency_in(problem.infeasible_mask),
+        ))
+    return out
 
 
 def sweep_noise(
@@ -255,11 +263,9 @@ def sweep_noise(
             ws = warmup.get(mixer) if warmup else None
             result = solve(stems, params, cfg, warmup=ws)
             rng = np.random.default_rng(cfg.seed)
-            for noise in noises:
-                _, ground, infeasible = noisy_replay(
-                    result.problem, result.levels[-1].schedule, noise, shots,
-                    int(rng.integers(2**63)),
-                )
+            runs = [(noise, int(rng.integers(2**63))) for noise in noises]
+            replays = noisy_replay(result.problem, result.levels[-1].schedule, runs, shots)
+            for noise, (_, ground, infeasible) in zip(noises, replays):
                 rows.append(
                     {
                         "instance": stems.sequence.id,

@@ -285,8 +285,9 @@ def build_problem(stems: StemSet, params: QuboParams, mixer_kind: str) -> Proble
     winners, optimum = brute_force_solve(qubo)
     index = np.arange(2**ising.n)
     infeasible = np.zeros(index.size, dtype=bool)
-    for ring in mixer.rings:
-        infeasible |= sum((index >> (ising.n - 1 - q)) & 1 for q in ring) != 1
+    if mixer.feasible is not None:
+        infeasible[:] = True
+        infeasible[mixer.feasible] = False
     return Problem(
         stems=stems, params=params, mixer=mixer, qubo=qubo, ising=ising,
         cost=cost, domains=domains, initial=initial,
@@ -304,22 +305,31 @@ def run_schedule(
 
     A sequence of equal-level schedules runs as one stack, row k holding
     the final state of schedule k exactly as a single run would give it.
+    Under the XY mixer the layers act on the mixer's feasible basis only,
+    and the result is scattered back to all 2^n amplitudes once, with every
+    feasible amplitude equal to the dense layers' bit for bit.  The start
+    and final states are checked (every row's norm); the layers in between
+    are not.
     """
+    basis = problem.mixer.feasible
+    start = problem.initial.amplitudes
+    if basis is not None:
+        start = start[basis]
     if isinstance(schedule, ParameterSchedule):
-        state = problem.initial
         layers = zip(schedule.betas, problem.effective_gammas(schedule))
     else:
         if len({s.p for s in schedule}) != 1:
             raise ValueError("a stack needs one or more schedules of equal level")
-        state = QuantumState(np.tile(problem.initial.amplitudes, (len(schedule), 1)))
+        start = np.tile(start, (len(schedule), 1))
         layers = zip(
             zip(*(s.betas for s in schedule)),
             zip(*(problem.effective_gammas(s) for s in schedule)),
         )
+    state = QuantumState(start, basis=basis, n_qubits=problem.n_qubits)
     for beta, gamma in layers:
         state = apply_cost_layer(state, problem.cost, gamma)
         state = apply_mixer(state, problem.mixer, beta)
-    return state
+    return state.dense()
 
 
 def circuit_for_schedule(problem: Problem, schedule: ParameterSchedule):

@@ -1,21 +1,39 @@
-"""Dense statevector simulation of the alternating-layer circuits.
+"""Statevector simulation of the alternating-layer circuits.
 
-Two execution paths cover different needs:
+Three execution paths cover different needs:
 
 * Layer operations (`apply_cost_layer`, `apply_x_mixer`,
   `apply_parity_xy_mixer`) act on whole layers at once: the cost layer is a
   diagonal phase multiply and each XX+YY pair rotation is applied as an
   exact 4x4 unitary.  They take one state or a stack of states, one per
   row, so a batch of circuits pays the per-layer Python overhead once.
-  This is the fast path used by the noiseless solver.
+  On dense 2^n states they are the reference of the noiseless solver.
+* The same layer operations on a subspace state: the XY mixer never
+  leaves the states with one set bit per domain ring, so `MixerSpec`
+  precomputes that feasible basis (the product of one-hot choices per ring,
+  not a scan of 2^n) and the positions of each pair's |01> and |10> states
+  in it.  A `QuantumState` that carries a basis holds only those columns;
+  the cost layer reads the diagonal at the basis and the XY mixer applies
+  each pair rotation to the basis entries alone, with the dense kernel's
+  arithmetic in the same order, so every feasible amplitude equals the
+  dense path's bit for bit.  `qaoa.run_schedule` runs the XY mixer this way
+  and scatters the result back to 2^n amplitudes once at the end.
 * `simulate_circuit` executes an explicit gate list in which every
   entangling operation is decomposed down to CNOT/CZ.  This path feeds the
   gate-count report and the circuit trace export, and is cross-checked
-  against the fast path in tests.  Its gate kernel acts on a stack of
-  states, one per row: `simulate_circuit` is the one-row case, and the
-  Monte-Carlo noise model (`run_noisy`) draws each shot's trajectory shot
-  by shot, then replays all error-hit trajectories as one stack, applying
-  each Pauli error only to the rows that drew it.
+  against the fast paths in tests.  Its gate kernel acts on a stack of
+  dense states, one per row: `simulate_circuit` is the one-row case, and
+  the Monte-Carlo noise model (`run_noisy`) draws each shot's trajectory
+  shot by shot, then replays all error-hit trajectories as one stack,
+  applying each Pauli error only to the rows that drew it.
+
+Where states are checked: the `QuantumState` constructor checks the shape
+and the norm of every row.  The layer operations return their states
+unchecked, because their input was checked and the layers are unitary;
+`qaoa.run_schedule` builds its start state and its final 2^n state through
+the constructor, so every row's norm is still checked once per circuit
+evaluation.  `sample`, `run_noisy` and the gate kernel take dense states
+only.
 
 Bit conventions: qubit 0 is the most significant bit of the basis index, so
 `format(index, f"0{n}b")[q]` is the value of qubit q and reshaping the
@@ -44,20 +62,36 @@ from .rna import Domain
 
 @dataclass(frozen=True)
 class QuantumState:
-    """Complex amplitudes over n qubits: one state of shape (2^n,) or a stack
-    of B states of shape (B, 2^n), one per row.  Treated as immutable;
-    operations return new states."""
+    """Complex amplitudes over n qubits: one state of shape (D,) or a stack
+    of B states of shape (B, D), one per row.  Treated as immutable;
+    operations return new states.
+
+    A dense state has D = 2^n columns, one per basis state.  A subspace state
+    carries `basis`, the sorted basis-state indices its D columns stand for
+    (every other amplitude is zero), and names its register in `n_qubits`.
+    """
 
     amplitudes: np.ndarray
+    basis: np.ndarray | None = None
+    n_qubits: int | None = None
 
     def __post_init__(self):
         amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
         if amps.ndim not in (1, 2):
             raise ValueError("amplitudes must be one state or a stack of rows")
         size = amps.shape[-1]
-        n = max(size.bit_length() - 1, 0)
-        if size != 1 << n:
-            raise ValueError("amplitude vector length must be a power of two")
+        if self.basis is None:
+            n = max(size.bit_length() - 1, 0)
+            if size != 1 << n:
+                raise ValueError("amplitude vector length must be a power of two")
+            if self.n_qubits not in (None, n):
+                raise ValueError(f"{size} amplitudes do not span {self.n_qubits} qubits")
+        else:
+            n = self.n_qubits
+            if n is None:
+                raise ValueError("a subspace state needs its register size")
+            if len(self.basis) != size:
+                raise ValueError(f"{size} amplitudes for a basis of {len(self.basis)} states")
         if n > MAX_QUBITS:
             raise ResourceLimitError(f"{n} qubits exceed the dense limit of {MAX_QUBITS}")
         rows = amps.view(float).reshape(-1, 1, 2 * size)  # real, imag interleaved
@@ -65,10 +99,22 @@ class QuantumState:
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(f"state is not normalized: sum |a|^2 = {total}")
         object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "n_qubits", n)
+
+    @classmethod
+    def _unchecked(cls, amplitudes: np.ndarray, like: "QuantumState") -> "QuantumState":
+        """New C-contiguous complex amplitudes over `like`'s register and
+        basis, without the checks: for layers, whose input was checked and
+        which are unitary."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "amplitudes", amplitudes)
+        object.__setattr__(state, "basis", like.basis)
+        object.__setattr__(state, "n_qubits", like.n_qubits)
+        return state
 
     @property
     def n(self) -> int:
-        return self.amplitudes.shape[-1].bit_length() - 1
+        return self.n_qubits
 
     @property
     def stacked(self) -> bool:
@@ -82,6 +128,19 @@ class QuantumState:
         if self.stacked:
             return np.linalg.norm(self.amplitudes, axis=-1)
         return float(np.linalg.norm(self.amplitudes))
+
+    def dense(self) -> "QuantumState":
+        """The same state over all 2^n basis states, checked."""
+        if self.basis is None:
+            return QuantumState(self.amplitudes)
+        amps = np.zeros(self.amplitudes.shape[:-1] + (1 << self.n,), dtype=complex)
+        amps[..., self.basis] = self.amplitudes
+        return QuantumState(amps)
+
+
+def _require_dense(state: QuantumState, what: str) -> None:
+    if state.basis is not None:
+        raise ValueError(f"{what} takes a dense state, not a subspace state")
 
 
 def init_uniform(n: int) -> QuantumState:
@@ -123,19 +182,26 @@ class MixerSpec:
     kind "x": independent exp(i*beta*X) rotations on every qubit.
     kind "parity_xy": per-domain rings of XX+YY pair rotations applied in
     two sublayers (odd-position pairs, then even-position pairs).  A ring of
-    two qubits applies its single pair once.  `xy_pairs` holds, per pair in
-    application order, the strided view onto its |01> and |10> amplitudes,
-    computed once here.
+    two qubits applies its single pair once.  Computed once here, per pair
+    in application order: `xy_pairs`, the strided view onto its |01> and
+    |10> amplitudes within one dense state, and `xy_positions`, a (2, m)
+    array of the positions of its |01> and |10> states within `feasible`.
+    `feasible` holds the sorted indices of the basis states with exactly
+    one set bit per ring (qubits outside every ring take either value); it
+    is None under the X mixer, which has no infeasible states.
     """
 
     kind: str
     n_qubits: int
     rings: tuple[tuple[int, ...], ...] = ()
     xy_pairs: tuple = field(init=False, repr=False, compare=False)
+    feasible: np.ndarray | None = field(init=False, repr=False, compare=False)
+    xy_positions: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("x", "parity_xy"):
             raise ValueError(f"unknown mixer kind {self.kind!r}")
+        feasible, positions = None, ()
         if self.kind == "parity_xy":
             seen: set[int] = set()
             for ring in self.rings:
@@ -146,11 +212,18 @@ class MixerSpec:
                 seen.update(ring)
             if seen and max(seen) >= self.n_qubits:
                 raise ValueError("ring qubit outside register")
+            feasible = _one_hot_basis(self.n_qubits, self.rings)
+            positions = tuple(
+                _pair_positions(feasible, self.n_qubits, a, b)
+                for ring in self.rings for a, b in _parity_ordered_pairs(ring)
+            )
         pairs = tuple(
             _pair_view(self.n_qubits, a, b)
             for ring in self.rings for a, b in _parity_ordered_pairs(ring)
         )
         object.__setattr__(self, "xy_pairs", pairs)
+        object.__setattr__(self, "feasible", feasible)
+        object.__setattr__(self, "xy_positions", positions)
 
     @classmethod
     def x_mixer(cls, n_qubits: int) -> "MixerSpec":
@@ -160,6 +233,28 @@ class MixerSpec:
     def parity_xy(cls, domains: list[Domain], n_qubits: int) -> "MixerSpec":
         rings = tuple(dom.ring() for dom in domains)
         return cls(kind="parity_xy", n_qubits=n_qubits, rings=rings)
+
+
+def _one_hot_basis(n: int, rings: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """Sorted indices of the n-qubit basis states with one set bit per ring,
+    built as the product of the per-ring choices."""
+    covered = {q for ring in rings for q in ring}
+    choices = [[1 << (n - 1 - q) for q in ring] for ring in rings]
+    choices += [[0, 1 << (n - 1 - q)] for q in range(n) if q not in covered]
+    basis = np.zeros(1, dtype=np.int64)
+    for bits in choices:
+        basis = (basis[:, None] + np.array(bits, dtype=np.int64)).ravel()
+    return np.sort(basis)
+
+
+def _pair_positions(basis: np.ndarray, n: int, a: int, b: int) -> np.ndarray:
+    """(2, m) positions in `basis` of the states where qubits (lo, hi) =
+    (a, b) sorted read 01 (first row) and of their 10 partners (second)."""
+    lo, hi = sorted((a, b))
+    lo_bit, hi_bit = 1 << (n - 1 - lo), 1 << (n - 1 - hi)
+    first = np.flatnonzero((basis & (lo_bit | hi_bit)) == hi_bit)
+    partner = np.searchsorted(basis, basis[first] ^ (lo_bit | hi_bit))
+    return np.stack([first, partner])
 
 
 def _pair_view(n: int, a: int, b: int) -> tuple[tuple, tuple, int]:
@@ -268,16 +363,18 @@ def _per_row(values: list, axes: int) -> np.ndarray:
 
 def apply_cost_layer(state: QuantumState, spec: CostLayerSpec, gamma: Angles) -> QuantumState:
     """Diagonal phase layer: a_x *= exp(-i * gamma * E(x))."""
-    phases = [np.exp(-1j * g * spec.diagonal) for g in _row_angles(state, gamma)]
+    diag = spec.diagonal if state.basis is None else spec.diagonal[state.basis]
+    gammas = np.array(_row_angles(state, gamma))
     # Bound to a name, never a bare temporary: numpy reuses a large temporary
     # operand as the output and swaps the factors, and complex multiplication
     # is not commutative in the last bit.
-    phases = np.array(phases) if state.stacked else phases[0]
-    return QuantumState(state.amplitudes * phases)
+    phases = np.exp((-1j * gammas)[:, None] * diag).reshape(state.amplitudes.shape)
+    return QuantumState._unchecked(state.amplitudes * phases, state)
 
 
 def apply_x_mixer(state: QuantumState, beta: Angles) -> QuantumState:
     """exp(i*beta*X) on every qubit."""
+    _require_dense(state, "the X mixer")
     betas = _row_angles(state, beta)
     c = _per_row([math.cos(b) for b in betas], 3)
     s = _per_row([1j * math.sin(b) for b in betas], 3)
@@ -287,7 +384,7 @@ def apply_x_mixer(state: QuantumState, beta: Angles) -> QuantumState:
         # |0> -> c|0> + s|1>, |1> -> s|0> + c|1>: the flip pairs each
         # amplitude with its partner on qubit q
         amps = c * t + s * t[:, :, ::-1]
-    return QuantumState(amps.reshape(state.amplitudes.shape))
+    return QuantumState._unchecked(amps.reshape(state.amplitudes.shape), state)
 
 
 def ring_pairs(ring: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -313,23 +410,37 @@ def apply_parity_xy_mixer(state: QuantumState, spec: MixerSpec, beta: Angles) ->
     pairs; each pair rotation preserves the total excitation number, so the
     per-domain Hamming weight is conserved exactly.  A pair rotation
     exp(i*beta*(XX+YY)) acts only on span{|01>, |10>}, where the generator
-    equals 2X; |00> and |11> are untouched.
+    equals 2X; |00> and |11> are untouched.  A dense state is updated over
+    all 2^n amplitudes; a state over the spec's feasible basis only at the
+    basis positions of each pair's |01> and |10> states, with the same
+    arithmetic in the same order.
     """
     if spec.kind != "parity_xy":
         raise ValueError("mixer spec is not parity_xy")
+    subspace = state.basis is not None
+    if subspace and not (
+        state.basis is spec.feasible or np.array_equal(state.basis, spec.feasible)
+    ):
+        raise ValueError("state basis is not the mixer's feasible basis")
     betas = _row_angles(state, beta)
-    c = _per_row([math.cos(2 * b) for b in betas], 4)
-    s = _per_row([1j * math.sin(2 * b) for b in betas], 4)
+    axes = 2 if subspace else 4
+    c = _per_row([math.cos(2 * b) for b in betas], axes)
+    s = _per_row([1j * math.sin(2 * b) for b in betas], axes)
     amps = state.amplitudes.copy()
     rows = amps.reshape(len(betas), -1)
-    # each pair's two mixed amplitudes, in place through its strided view;
-    # the flip pairs each with its partner
-    for shape, strides, offset in spec.xy_pairs:
-        pair = np.ndarray(
-            (len(rows),) + shape, complex, rows, offset, (rows.strides[0],) + strides
-        )
-        pair[...] = c * pair + s * pair[:, :, ::-1]
-    return QuantumState(amps)
+    # each pair's two mixed amplitudes; the flip pairs each with its partner
+    if subspace:
+        for idx in spec.xy_positions:
+            pair = rows[:, idx]
+            rows[:, idx] = c * pair + s * pair[:, ::-1]
+    else:
+        # in place through its strided view
+        for shape, strides, offset in spec.xy_pairs:
+            pair = np.ndarray(
+                (len(rows),) + shape, complex, rows, offset, (rows.strides[0],) + strides
+            )
+            pair[...] = c * pair + s * pair[:, :, ::-1]
+    return QuantumState._unchecked(amps, state)
 
 
 def apply_mixer(state: QuantumState, spec: MixerSpec, beta: Angles) -> QuantumState:
@@ -517,6 +628,7 @@ def simulate_circuit(
 ) -> QuantumState:
     """Execute a primitive gate list on |0...0> (or `initial`)."""
     state = initial if initial is not None else zero_state(n_qubits)
+    _require_dense(state, "the gate kernel")
     amps = state.amplitudes.reshape(1, 2**n_qubits).copy()
     for op in ops:
         _apply_op(amps, op)
@@ -559,6 +671,7 @@ def sample(state: QuantumState, shots: int, seed: int) -> SampleSet:
         raise ValueError("shots must be >= 1")
     if state.stacked:
         raise ValueError("sample takes one state, not a stack")
+    _require_dense(state, "sample")
     rng = np.random.default_rng(seed)
     idx = _draw_outcomes(state.probabilities(), shots, rng)
     return _counts_to_sampleset(idx, state.n, shots)
@@ -587,6 +700,7 @@ def run_noisy(
     noise: NoiseSpec,
     shots: int,
     seed: int,
+    ideal: QuantumState | None = None,
 ) -> SampleSet:
     """Monte-Carlo trajectories: one per shot.
 
@@ -605,13 +719,17 @@ def run_noisy(
     the one `choice` would return, so the samples equal the one-shot loop's
     exactly.  With a zero gate-error rate no trajectory randomness is
     consumed, so the draw matches `sample(simulate_circuit(ops, n), shots,
-    seed)` exactly.
+    seed)` exactly.  `ideal` is that noiseless final state when the caller
+    already has it (several noise settings on one circuit): it must be
+    `simulate_circuit(ops, n_qubits)`, and saves simulating it again.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     rng = np.random.default_rng(seed)
     p2 = noise.two_qubit_error
-    ideal = simulate_circuit(ops, n_qubits)
+    if ideal is None:
+        ideal = simulate_circuit(ops, n_qubits)
+    _require_dense(ideal, "run_noisy")
     probs0 = ideal.probabilities()
     two_q = [t for t, op in enumerate(ops) if op.is_two_qubit]
 

@@ -1,17 +1,21 @@
 import pytest
 
+import rnaqaoa.evaluation as evaluation_mod
+import rnaqaoa.simulator as sim_mod
 from rnaqaoa.evaluation import (
     ReferenceStructure,
     ScoreReport,
+    noisy_replay,
     result_structures,
     score,
     score_degenerate,
     sweep_levels,
     sweep_noise,
 )
-from rnaqaoa.qaoa import QaoaConfig, solve
+from rnaqaoa.qaoa import QaoaConfig, circuit_for_schedule, solve
 from rnaqaoa.qubo import QuboParams
 from rnaqaoa.rna import Sequence, enumerate_stems
+from rnaqaoa.simulator import NoiseSpec, run_noisy
 
 
 def hairpin():
@@ -176,3 +180,28 @@ def test_sweep_noise_rejects_zero_shots(small_suite):
     with pytest.raises(ValueError, match="shots"):
         sweep_noise([small_suite[0]], QuboParams(), QaoaConfig(), [0.01], shots=0)
 
+
+
+def test_noisy_replay_runs_share_one_noiseless_simulation(warmups, small_suite):
+    result = solve(small_suite[2], QuboParams(), QaoaConfig(mixer="parity_xy", p_max=2),
+                   warmup=warmups["parity_xy"])
+    problem, schedule = result.problem, result.levels[-1].schedule
+    runs = [(NoiseSpec(0.0), 1), (NoiseSpec(0.02, (0.01, 0.02)), 2), (NoiseSpec(0.3), 3)]
+    ops = circuit_for_schedule(problem, schedule)
+    replays = noisy_replay(problem, schedule, runs, 200)
+    for (noise, seed), (samples, ground, infeasible) in zip(runs, replays):
+        assert samples == run_noisy(ops, problem.n_qubits, noise, 200, seed)
+        assert ground == samples.frequency_in(problem.ground_mask)
+        assert infeasible == samples.frequency_in(problem.infeasible_mask)
+
+
+def test_sweep_noise_simulates_each_noiseless_circuit_once(warmups, small_suite, monkeypatch):
+    calls = {"sweep": 0, "run_noisy": 0}
+    for module, key in ((evaluation_mod, "sweep"), (sim_mod, "run_noisy")):
+        def counting(*args, _fn=module.simulate_circuit, _key=key, **kwargs):
+            calls[_key] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, "simulate_circuit", counting)
+    sweep_noise(small_suite[:2], QuboParams(), QaoaConfig(), [0.001, 0.01, 0.02], shots=100,
+                mixers=("x",), warmup=warmups)
+    assert calls == {"sweep": 2, "run_noisy": 0}

@@ -1,13 +1,18 @@
+import functools
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize as scipy_minimize
 
 import rnaqaoa.qaoa as qaoa_mod
+import rnaqaoa.simulator as sim_mod
 from rnaqaoa.errors import ResourceLimitError
-from rnaqaoa.instances import generate_structured_instances, random_sequence
+from rnaqaoa.instances import generate_structured_instances, load_benchmark, random_sequence
 from rnaqaoa.qaoa import (
     BETA_BOUNDS,
     GAMMA_BOUNDS,
@@ -38,9 +43,11 @@ from rnaqaoa.qubo import (
 )
 from rnaqaoa.rna import Sequence, enumerate_stems, structure_from_selection
 from rnaqaoa.simulator import (
+    QuantumState,
     SampleSet,
     apply_cost_layer,
     apply_mixer,
+    apply_parity_xy_mixer,
     sample,
     simulate_circuit,
 )
@@ -402,6 +409,149 @@ def test_run_schedule_stack_rows_equal_single_runs():
         assert np.array_equal(row, run_schedule(problem, schedule).amplitudes)
     with pytest.raises(ValueError, match="equal level"):
         run_schedule(problem, [schedules[0], ParameterSchedule((0.1,), (0.2,))])
+
+
+# ---------------------------------------------------------------------------
+# the XY mixer's feasible subspace against the dense layers
+
+
+@functools.cache
+def _suite_xy_problems():
+    suite = load_benchmark("suite")
+    return tuple(build_problem(stems, QuboParams(), "parity_xy") for stems in suite)
+
+
+def _ring_violations(problem):
+    """Per basis state: some domain ring without exactly one set bit."""
+    n = problem.n_qubits
+    bits = (np.arange(2**n)[:, None] >> (n - 1 - np.arange(n))) & 1
+    return np.any([bits[:, list(ring)].sum(axis=1) != 1 for ring in problem.mixer.rings], axis=0)
+
+
+def _dense_run(problem, schedules):
+    """The schedules' layers through the dense kernels, one row each."""
+    state = QuantumState(np.tile(problem.initial.amplitudes, (len(schedules), 1)))
+    for k in range(schedules[0].p):
+        gammas = [problem.effective_gammas(s)[k] for s in schedules]
+        state = apply_cost_layer(state, problem.cost, gammas)
+        state = apply_parity_xy_mixer(state, problem.mixer, [s.betas[k] for s in schedules])
+    return state
+
+
+def test_feasible_basis_is_the_product_of_one_hot_choices():
+    for problem in _suite_xy_problems():
+        basis = problem.mixer.feasible
+        assert (np.diff(basis) > 0).all()
+        assert len(basis) == math.prod(dom.size + 1 for dom in problem.domains)
+        for idx in problem.mixer.xy_positions:
+            assert idx.shape[0] == 2
+            # every pair moves one excitation between its two qubits
+            assert (np.bitwise_count(basis[idx[0]] ^ basis[idx[1]]) == 2).all()
+    assert build_problem(single_stem_instance(), QuboParams(), "x").mixer.feasible is None
+
+
+@given(
+    p=st.integers(1, 8),
+    rows=st.sampled_from([1, 16]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=12, deadline=None)
+def test_run_schedule_subspace_equals_dense_layers(p, rows, seed):
+    rng = np.random.default_rng(seed)
+    for problem in _suite_xy_problems():
+        schedules = [
+            ParameterSchedule(
+                tuple(rng.uniform(*BETA_BOUNDS, p)), tuple(rng.uniform(*GAMMA_BOUNDS, p))
+            )
+            for _ in range(rows)
+        ]
+        fast = run_schedule(problem, schedules[0] if rows == 1 else schedules)
+        dense = _dense_run(problem, schedules)
+        amps = fast.amplitudes.reshape(rows, -1)
+        basis = problem.mixer.feasible
+        assert np.array_equal(amps[:, basis], dense.amplitudes[:, basis])
+        outside = _ring_violations(problem)
+        assert fast.probabilities()[..., outside].sum(axis=-1).max() <= 1e-12
+        assert dense.probabilities()[:, outside].sum(axis=-1).max() <= 1e-12
+
+
+def test_dense_xy_layers_keep_the_w_state_feasible(suite):
+    """The dense kernels on the 2^n W state, as the solver ran them before
+    the subspace path: the infeasible probability stays at roundoff."""
+    rng = np.random.default_rng(77)
+    problems = [build_problem(s, QuboParams(), "parity_xy") for s in suite if len(s) >= 3][:10]
+    worst = 0.0
+    for trial in range(100):
+        problem = problems[trial % len(problems)]
+        p = int(rng.integers(1, 5))
+        schedule = ParameterSchedule(
+            tuple(rng.uniform(*BETA_BOUNDS, p)), tuple(rng.uniform(*GAMMA_BOUNDS, p))
+        )
+        state = problem.initial
+        for beta, gamma in zip(schedule.betas, problem.effective_gammas(schedule)):
+            state = apply_cost_layer(state, problem.cost, gamma)
+            state = apply_parity_xy_mixer(state, problem.mixer, beta)
+        worst = max(worst, float(state.probabilities()[_ring_violations(problem)].sum()))
+    assert worst < 1e-10
+
+
+_LAYERS = ("apply_cost_layer", "apply_x_mixer", "apply_parity_xy_mixer")
+
+
+def _wrap_layer_bindings(monkeypatch, wrap):
+    """Replace the three layer functions on every rnaqaoa module binding,
+    as the benchmark tracer does, by wrap(name, original)."""
+    originals = {name: getattr(sim_mod, name) for name in _LAYERS}
+    for mod_name, module in list(sys.modules.items()):
+        if module is None or not (mod_name == "rnaqaoa" or mod_name.startswith("rnaqaoa.")):
+            continue
+        for attr, value in list(vars(module).items()):
+            for name, fn in originals.items():
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrap(name, fn))
+
+
+def test_traced_layer_bindings_see_every_layer_of_both_solves(suite, warmups, monkeypatch):
+    calls = {name: [] for name in _LAYERS}
+
+    def wrap(name, fn):
+        def traced(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            calls[name].append(len(result.amplitudes))
+            return result
+        return traced
+
+    _wrap_layer_bindings(monkeypatch, wrap)
+    stems = suite[3]
+    solve(stems, QuboParams(), QaoaConfig(mixer="parity_xy", p_max=3), warmup=warmups["parity_xy"])
+    assert calls["apply_parity_xy_mixer"] and not calls["apply_x_mixer"]
+    assert len(calls["apply_cost_layer"]) == len(calls["apply_parity_xy_mixer"])
+    xy_cost_calls = len(calls["apply_cost_layer"])
+    solve(stems, QuboParams(), QaoaConfig(mixer="x", p_max=3), warmup=warmups["x"])
+    assert calls["apply_x_mixer"]
+    assert len(calls["apply_cost_layer"]) - xy_cost_calls == len(calls["apply_x_mixer"])
+    assert all(n > 0 for seen in calls.values() for n in seen)
+
+
+@pytest.mark.parametrize("mixer", ["x", "parity_xy"])
+def test_run_schedule_checks_the_state_a_non_unitary_layer_leaves(mixer, monkeypatch):
+    problem = build_problem(single_stem_instance(), QuboParams(), mixer)
+    schedule = ParameterSchedule((0.4, 0.9), (0.3, 1.1))
+
+    def wrap(name, fn):
+        if name != "apply_cost_layer":
+            return fn
+
+        def leaky(*args, **kwargs):
+            state = fn(*args, **kwargs)
+            return QuantumState._unchecked(state.amplitudes * 1.01, state)
+        return leaky
+
+    _wrap_layer_bindings(monkeypatch, wrap)
+    with pytest.raises(ValueError, match="not normalized"):
+        run_schedule(problem, schedule)
+    with pytest.raises(ValueError, match="not normalized"):
+        run_schedule(problem, [schedule, schedule])
 
 
 # ---------------------------------------------------------------------------

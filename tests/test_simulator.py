@@ -75,6 +75,39 @@ def test_quantum_state_checks_every_row_of_a_stack():
         QuantumState(rows)
 
 
+def test_subspace_state_takes_its_register_from_n_qubits():
+    basis = np.array([1, 2, 4, 8])
+    amps = np.full(4, 0.5, dtype=complex)
+    state = QuantumState(amps, basis=basis, n_qubits=5)
+    assert state.n == 5 and state.amplitudes.shape == (4,)
+    dense = state.dense()
+    assert dense.basis is None and dense.n == 5
+    assert np.flatnonzero(dense.amplitudes).tolist() == basis.tolist()
+    with pytest.raises(ValueError, match="register size"):
+        QuantumState(amps, basis=basis)
+    with pytest.raises(ValueError, match="basis of 4 states"):
+        QuantumState(amps[:2] * math.sqrt(2), basis=basis, n_qubits=5)
+    with pytest.raises(ValueError, match="not normalized"):
+        QuantumState(amps * 1.01, basis=basis, n_qubits=5)
+    with pytest.raises(ValueError, match="do not span"):
+        QuantumState(np.full(4, 0.5, dtype=complex), n_qubits=3)
+
+
+def test_dense_only_operations_refuse_a_subspace_state():
+    spec, domains = _pxy_spec()
+    full = prepare_w_states(domains, 6)
+    state = QuantumState(full.amplitudes[spec.feasible], basis=spec.feasible, n_qubits=6)
+    with pytest.raises(ValueError, match="dense state"):
+        sample(state, 10, seed=0)
+    with pytest.raises(ValueError, match="dense state"):
+        simulate_circuit([], 6, initial=state)
+    with pytest.raises(ValueError, match="dense state"):
+        apply_x_mixer(state, 0.3)
+    other = QuantumState(np.full(4, 0.5, dtype=complex), basis=np.array([0, 1, 2, 3]), n_qubits=6)
+    with pytest.raises(ValueError, match="feasible basis"):
+        apply_parity_xy_mixer(other, spec, 0.3)
+
+
 def test_quantum_state_rejects_bad_shapes():
     with pytest.raises(ValueError, match="power of two"):
         QuantumState(np.ones((2, 3), dtype=complex) / math.sqrt(3))
