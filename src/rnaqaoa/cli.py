@@ -16,7 +16,7 @@ from .errors import InputError, ResourceLimitError
 from .evaluation import noisy_replay, score, sweep_levels, sweep_noise
 from .instances import load_benchmark
 from .qaoa import gate_count_report, solve, warmup_parameters
-from .qubo import brute_force_solve, build_qubo, model_to_dict, stem_labels
+from .qubo import brute_force_solve, build_qubo, check_dense, model_to_dict, stem_labels
 from .rna import enumerate_stems, partition_domains
 from .simulator import NoiseSpec
 from . import io as io_
@@ -178,6 +178,7 @@ def cmd_solve(args) -> int:
         stems = _enumerate(seq, cfg)
         manifest = io_.make_manifest([args.input], cfg, cfg.qaoa.seed)
         if method == "brute":
+            check_dense(len(stems))
             bitstrings, value = brute_force_solve(build_qubo(stems, cfg.qubo))
             results.append(io_.brute_result_dict(stems, bitstrings, value, manifest))
             continue

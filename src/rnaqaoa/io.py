@@ -11,10 +11,13 @@ data/schemas/.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from importlib.resources import files
+from json.encoder import INFINITY, encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 from . import __version__
@@ -348,9 +351,137 @@ def sweep_result_dict(result, manifest: RunManifest) -> dict:
     }
 
 
+def _float_text(o: float) -> str:
+    if o != o:
+        return "NaN"
+    if o == INFINITY:
+        return "Infinity"
+    if o == -INFINITY:
+        return "-Infinity"
+    return float.__repr__(o)
+
+
+#: Text of a scalar, by exact type; subclasses take the general path.
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda o: "true" if o else "false",
+    type(None): lambda o: "null",
+}
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, float):
+        return encode_basestring_ascii(_float_text(key))
+    if key is True or key is False or key is None:
+        return encode_basestring_ascii(_SCALAR_TEXT[type(key)](key))
+    if isinstance(key, int):
+        return encode_basestring_ascii(int.__repr__(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _scalar_column(values: list):
+    """Items for `%s` or `str` giving the JSON text of each value, or None.
+
+    None unless every value has an exact scalar type.  An exact int or
+    finite float is its own item (its `str` is its JSON text); other
+    scalars become their text.
+    """
+    types = set(map(type, values))
+    if not types <= _SCALAR_TEXT.keys():
+        return None
+    if types <= {int, float}:
+        try:
+            if all(map(math.isfinite, values)):
+                return values
+        except OverflowError:  # an int beyond the float range
+            pass
+    return [_SCALAR_TEXT[type(v)](v) for v in values]
+
+
+def _records_text(rows: list, indent: str):
+    """Text of a list of dicts with one set of str keys and scalar values, or None."""
+    first = rows[0]
+    if type(first) is not dict or not first or not all(type(k) is str for k in first):
+        return None
+    keys = first.keys()
+    if not all(type(row) is dict and row.keys() == keys for row in rows):
+        return None
+    order = sorted(keys)
+    columns = [_scalar_column(list(map(itemgetter(k), rows))) for k in order]
+    if any(column is None for column in columns):
+        return None
+    inner = indent + "  "
+    field = inner + "  "
+    heads = [encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in order]
+    template = "{" + field + ("," + field).join(heads) + inner + "}"
+    body = ("," + inner).join([template % row for row in zip(*columns)])
+    return "[" + inner + body + indent + "]"
+
+
+def _write(o, indent: str, out: list, open_ids: set) -> None:
+    """Append the text `json.dumps(o, indent=2, sort_keys=True)` gives `o`.
+
+    `indent` is the newline and spaces of the line `o` starts on.  Types
+    are tested in the order `json` tests them, with the same texts and
+    errors, exact scalar types first.  A list of scalars is joined at once,
+    and a list of records (dicts with the same str keys and scalar values)
+    goes through one %-template, column by column.
+    """
+    text = _SCALAR_TEXT.get(type(o))
+    if text is not None:
+        out.append(text(o))
+    elif isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_float_text(o))
+    elif isinstance(o, (list, tuple, dict)):
+        is_dict = isinstance(o, dict)
+        if not o:
+            out.append("{}" if is_dict else "[]")
+            return
+        inner = indent + "  "
+        if not is_dict:
+            column = _scalar_column(o)
+            if column is not None:
+                out.append("[" + inner + ("," + inner).join(map(str, column)) + indent + "]")
+                return
+            text = _records_text(o, indent)
+            if text is not None:
+                out.append(text)
+                return
+        if id(o) in open_ids:
+            raise ValueError("Circular reference detected")
+        open_ids.add(id(o))
+        sep = ("{" if is_dict else "[") + inner
+        for entry in sorted(o.items()) if is_dict else o:
+            if is_dict:
+                key, entry = entry
+                out.append(sep + _key_text(key) + ": ")
+            else:
+                out.append(sep)
+            _write(entry, inner, out, open_ids)
+            sep = "," + inner
+        out.append(indent + ("}" if is_dict else "]"))
+        open_ids.discard(id(o))
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
 def write_json(obj: dict, path=None) -> str:
-    """Serialize with sorted keys so equal documents are byte-identical."""
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Serialize with sorted keys so equal documents are byte-identical.
+
+    The text is exactly `json.dumps(obj, indent=2, sort_keys=True) + "\n"`,
+    written without the standard library's generator per node.
+    """
+    out: list[str] = []
+    _write(obj, "\n", out, set())
+    text = "".join(out) + "\n"
     if path is not None:
         Path(path).write_text(text)
     return text

@@ -258,15 +258,16 @@ def _encode(
     """Objective, domains (parity_xy only), Ising model and mixer of a stem set."""
     if mixer_kind not in MIXER_KINDS:
         raise ValueError(f"mixer must be one of {MIXER_KINDS}")
-    qubo = build_qubo(stems, params)
     domains = tuple(partition_domains(stems)) if mixer_kind == "parity_xy" else None
-    ising = to_ising(qubo, list(domains) if domains else None)
-    if ising.n > MAX_QUBITS:
+    n_qubits = len(stems) + (len(domains) if domains else 0)
+    if n_qubits > MAX_QUBITS:
         raise ResourceLimitError(
-            f"{ising.n} qubits (stems {qubo.n}"
+            f"{n_qubits} qubits (stems {len(stems)}"
             + (f" + {len(domains)} dummies" if domains else "")
             + f") exceed the dense limit of {MAX_QUBITS}"
         )
+    qubo = build_qubo(stems, params)
+    ising = to_ising(qubo, list(domains) if domains else None)
     if mixer_kind == "x":
         mixer = MixerSpec.x_mixer(ising.n)
     else:

@@ -10,20 +10,36 @@ ising_energy(x) == -objective(x) for every bitstring.
 
 Spin convention, fixed once and asserted in tests: bit b maps to z = 1 - 2b,
 i.e. a selected stem (bit 1) has z = -1.
+
+`penalty` broadcasts like the relations it reads: `build_qubo` scores one
+row block of stems against all stems per call (`rna.row_blocks`) and keeps
+the nonzero couplings above the diagonal.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ResourceLimitError
-from .rna import Domain, Stem, StemSet, pairs_cross, stems_overlap
+from .rna import Domain, StemSet, pairs_cross, row_blocks, stems_overlap
 
 #: Hard cap for exhaustive enumeration and dense simulation alike.
 MAX_QUBITS = 24
+
+#: Bytes one coupling takes in `QuboModel.quadratic`: the dict slot, the
+#: key tuple with its two ints and the value (tracemalloc: 195 B per entry
+#: of a 225,113-entry dict).
+COUPLING_BYTES = 200
+
+#: Largest `quadratic` dict `build_qubo` may have to hold when every stem
+#: pair couples.  n stems have n(n-1)/2 pairs, so up to 3,277 stems pass:
+#: random 400 nt sequences with --maximal (2,170-3,081 stems over 20
+#: seeds) and 200 nt ones with all runs (1,451-1,949 over 5) fit.
+MAX_QUADRATIC_BYTES = 1 << 30
 
 #: Absolute tolerance used to detect degenerate optima.
 DEGENERACY_ATOL = 1e-9
@@ -49,6 +65,25 @@ class QuboParams:
             raise ValueError("c_p must lie in [-1, 1]")
 
 
+def _entries_valid(quadratic: dict, n: int) -> bool:
+    """The per-entry checks of `QuboModel.quadratic` as array operations.
+
+    True only when every key is a pair of integers with 0 <= j < i < n and
+    every value is finite.  False, also when the entries cannot be read as
+    such, leaves the verdict and its message to the per-entry loop.
+    """
+    try:
+        if set(map(len, quadratic)) - {2}:
+            return False
+        flat = map(operator.index, itertools.chain.from_iterable(quadratic))
+        keys = np.fromiter(flat, dtype=np.int64, count=2 * len(quadratic))
+        finite = np.isfinite(np.array(list(quadratic.values())))
+    except (TypeError, ValueError, OverflowError):
+        return False
+    i, j = keys[0::2], keys[1::2]
+    return bool(((0 <= j) & (j < i) & (i < n) & finite).all())
+
+
 @dataclass(frozen=True)
 class QuboModel:
     """Coefficients of the selection objective.
@@ -65,6 +100,8 @@ class QuboModel:
     def __post_init__(self):
         if len(self.linear) != self.n:
             raise ValueError("linear length mismatch")
+        if _entries_valid(self.quadratic, self.n):
+            return
         for (i, j), v in self.quadratic.items():
             if not (0 <= j < i < self.n):
                 raise ValueError(f"quadratic key ({i}, {j}) must have j < i < n")
@@ -102,16 +139,19 @@ class IsingModel:
                 raise ValueError(f"J key ({i}, {j}) must be upper-triangular")
 
 
-def penalty(s1: Stem, s2: Stem, params: QuboParams) -> float:
+def penalty(s1, s2, params: QuboParams):
     """Pairwise coupling: overlap is penalized, crossing is weighed by c_p.
 
-    Overlap is tested once; a non-overlapping pair crosses iff its spans do.
+    -(k1 + k2) for overlapping stems, c_p*(k1 + k2) for crossing ones and 0
+    otherwise, as a float unless c_p is an int.  Overlap is tested once; a
+    non-overlapping pair crosses iff its spans do.  Broadcasts over
+    `StemBlock`s like the relations (see `rna`), giving the array of every
+    pair's coupling.
     """
-    if stems_overlap(s1, s2):
-        return -(s1.k + s2.k)
-    if pairs_cross(s1.span, s2.span):
-        return params.c_p * (s1.k + s2.k)
-    return 0.0
+    ksum = s1.k + s2.k
+    overlap = stems_overlap(s1, s2)
+    crossing = pairs_cross(s1.span, s2.span) > overlap
+    return params.c_p * ksum * crossing - ksum * overlap
 
 
 def objective(selection, stems: StemSet, params: QuboParams) -> float:
@@ -135,17 +175,42 @@ def objective(selection, stems: StemSet, params: QuboParams) -> float:
 
 
 def build_qubo(stems: StemSet, params: QuboParams = QuboParams()) -> QuboModel:
-    """Assemble objective coefficients for a stem set."""
+    """Assemble objective coefficients for a stem set.
+
+    `penalty` scores each row block of stems j against the stems i after
+    it.  The nonzero couplings go into `quadratic` under keys (i, j) with
+    j < i, ordered by j and then i: overlap couplings as the ints
+    -(k_i + k_j), crossing ones as floats.  Refuses, before any pair is
+    scored, stem sets whose pairs could need more than MAX_QUADRATIC_BYTES.
+    """
+    n = len(stems)
+    pairs = n * (n - 1) // 2
+    if pairs * COUPLING_BYTES > MAX_QUADRATIC_BYTES:
+        raise ResourceLimitError(
+            f"{n} stems make {pairs} stem pairs, whose couplings may need "
+            f"{pairs * COUPLING_BYTES} bytes, over the limit of {MAX_QUADRATIC_BYTES}; "
+            "use --maximal or a larger --min-stem"
+        )
     n_seq = len(stems.sequence)
     linear = tuple(
         2.0 * s.k - n_seq / (2.0 * s.k + params.epsilon) for s in stems
     )
+    block = stems.block()
     quadratic: dict[tuple[int, int], float] = {}
-    for j, i in itertools.combinations(range(len(stems)), 2):
-        k = penalty(stems[i], stems[j], params)
-        if k != 0.0:
-            quadratic[(i, j)] = k
-    return QuboModel(n=len(stems), linear=linear, quadratic=quadratic)
+    for lo, hi in row_blocks(n):
+        rows, cols = block[lo:hi, None], block[lo:]
+        values = penalty(rows, cols, params)
+        # keep i > j: column c of the block is stem lo + c
+        above = np.arange(n - lo) > np.arange(hi - lo)[:, None]
+        r, c = np.nonzero(above & (values != 0.0))
+        kept = values[r, c].tolist()
+        ints = (-(rows.k[r, 0] + cols.k[c])).tolist()
+        overlap = stems_overlap(rows[r, 0], cols[c]).tolist()
+        keys = zip((c + lo).tolist(), (r + lo).tolist())
+        quadratic.update(
+            zip(keys, [w if o else v for w, o, v in zip(ints, overlap, kept)])
+        )
+    return QuboModel(n=n, linear=linear, quadratic=quadratic)
 
 
 def to_ising(model: QuboModel, domains: list[Domain] | None = None) -> IsingModel:
@@ -191,7 +256,8 @@ def ising_energy(ising: IsingModel, bits) -> float:
     return e
 
 
-def _guard(n: int):
+def check_dense(n: int):
+    """Refuse more than MAX_QUBITS binary variables for exhaustive or dense work."""
     if n > MAX_QUBITS:
         raise ResourceLimitError(
             f"{n} binary variables exceed the exhaustive/dense limit of {MAX_QUBITS}"
@@ -203,7 +269,7 @@ def ising_diagonal(ising: IsingModel) -> np.ndarray:
 
     Equivalently: basis index int(bitstring, 2) with bitstring[i] = qubit i.
     """
-    _guard(ising.n)
+    check_dense(ising.n)
     n = ising.n
     diag = np.full([2] * n if n else [1], ising.constant, dtype=float)
     if n == 0:
@@ -230,7 +296,7 @@ def ising_diagonal(ising: IsingModel) -> np.ndarray:
 
 def qubo_diagonal(model: QuboModel) -> np.ndarray:
     """Objective values of all 2^n bitstrings, same index convention as above."""
-    _guard(model.n)
+    check_dense(model.n)
     n = model.n
     vals = np.full([2] * n if n else [1], model.offset, dtype=float)
     if n == 0:
@@ -257,7 +323,7 @@ def brute_force_solve(
     optima, lexicographically sorted) and the best value itself.  Guarded to
     n <= 24 variables.
     """
-    _guard(model.n)
+    check_dense(model.n)
     if model.n == 0:
         return ("",), float(model.offset)
     vals = qubo_diagonal(model)

@@ -17,6 +17,12 @@ definition here:
   (i1 < i2 < j1 < j2 or the mirror); two stems cross iff their outer spans
   do and they do not overlap.
 
+The relations are written once, with `&`, `|` and single comparisons, so
+they broadcast: given two `Stem`s they return a bool, given two `StemBlock`s
+(the same i, j and k as int arrays, e.g. a column of rows against a row of
+all stems) they return the bool array of every pair.  `StemSet.block()`
+gives a stem set's arrays.
+
 All indices in the public types are 1-based, matching the usual convention
 for sequence positions.  Numpy matrices are 0-based internally.
 """
@@ -47,6 +53,11 @@ DEFAULT_MIN_LOOP = 1
 
 #: Minimum stem length (base pairs) considered stable enough to keep.
 DEFAULT_MIN_STEM = 3
+
+#: Cells (stem pairs) per row block of a relation over a stem set.  Each
+#: array of a block's relations takes at most 8 bytes per cell, so 2**16
+#: cells bound every one of them to 512 KiB, whatever the stem count.
+BLOCK_CELLS = 1 << 16
 
 
 def _normalize_bases(raw: str) -> str:
@@ -81,8 +92,22 @@ class Sequence:
         return self.bases[pos - 1]
 
 
+class _Runs:
+    """The intervals and span of a stem, read from its i, j and k."""
+
+    @property
+    def intervals(self):
+        """The 5' and 3' runs as closed position intervals (first, last)."""
+        return (self.i, self.i + self.k - 1), (self.j - self.k + 1, self.j)
+
+    @property
+    def span(self):
+        """Outermost pair (i, j)."""
+        return (self.i, self.j)
+
+
 @dataclass(frozen=True, order=True)
-class Stem:
+class Stem(_Runs):
     """A run of `k` consecutive base pairs.
 
     `i` is the first base of the 5' run, `j` the last base of the 3' run,
@@ -104,15 +129,21 @@ class Stem:
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((self.i + t, self.j - t) for t in range(self.k))
 
-    @property
-    def intervals(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        """The 5' and 3' runs as closed position intervals (first, last)."""
-        return (self.i, self.i + self.k - 1), (self.j - self.k + 1, self.j)
 
-    @property
-    def span(self) -> tuple[int, int]:
-        """Outermost pair (i, j)."""
-        return (self.i, self.j)
+class StemBlock(_Runs):
+    """Stems as int arrays i, j and k of one shape, read like a `Stem`.
+
+    Indexing indexes all three arrays, so `block[lo:hi, None]` is a column
+    of rows that broadcasts against the row `block[lo:]` in the relations.
+    """
+
+    __slots__ = ("i", "j", "k")
+
+    def __init__(self, i: np.ndarray, j: np.ndarray, k: np.ndarray):
+        self.i, self.j, self.k = i, j, k
+
+    def __getitem__(self, idx) -> StemBlock:
+        return StemBlock(self.i[idx], self.j[idx], self.k[idx])
 
 
 def can_pair(a: str, b: str) -> bool:
@@ -167,6 +198,11 @@ class StemSet:
     def __getitem__(self, idx: int) -> Stem:
         return self.stems[idx]
 
+    def block(self) -> StemBlock:
+        """The stems' i, j and k as 1-D int64 arrays, in canonical order."""
+        ijk = np.array([(s.i, s.j, s.k) for s in self.stems], dtype=np.int64).reshape(-1, 3)
+        return StemBlock(*ijk.T)
+
 
 def enumerate_stems(
     seq: Sequence,
@@ -213,39 +249,41 @@ def enumerate_stems(
     return StemSet(seq, tuple(found))
 
 
-def stems_overlap(s1: Stem, s2: Stem) -> bool:
+def stems_overlap(s1, s2):
     """True iff some interval of one stem meets some interval of the other.
 
     That is, iff the two stems occupy at least one common base position.
     Closed intervals [lo, hi] and [lo', hi'] meet iff lo <= hi' and lo' <= hi.
+    Broadcasts over `StemBlock`s (see the module docstring).
     """
     (a1, b1), (c1, d1) = s1.intervals
     (a2, b2), (c2, d2) = s2.intervals
     return (
-        (a1 <= b2 and a2 <= b1)
-        or (a1 <= d2 and c2 <= b1)
-        or (c1 <= b2 and a2 <= d1)
-        or (c1 <= d2 and c2 <= d1)
+        ((a1 <= b2) & (a2 <= b1))
+        | ((a1 <= d2) & (c2 <= b1))
+        | ((c1 <= b2) & (a2 <= d1))
+        | ((c1 <= d2) & (c2 <= d1))
     )
 
 
-def pairs_cross(p: tuple[int, int], q: tuple[int, int]) -> bool:
+def pairs_cross(p, q):
     """True iff base pairs p = (i1, j1) and q = (i2, j2) interleave.
 
     Interleaving means i1 < i2 < j1 < j2 or i2 < i1 < j2 < j1; nested and
-    side-by-side pairs do not cross.
+    side-by-side pairs do not cross.  Broadcasts over int arrays.
     """
     (i1, j1), (i2, j2) = p, q
-    return (i1 < i2 < j1 < j2) or (i2 < i1 < j2 < j1)
+    return ((i1 < i2) & (i2 < j1) & (j1 < j2)) | ((i2 < i1) & (i1 < j2) & (j2 < j1))
 
 
-def stems_pseudoknot(s1: Stem, s2: Stem) -> bool:
+def stems_pseudoknot(s1, s2):
     """True iff the stems' outer spans cross and the stems do not overlap.
 
     Overlapping stems are never reported as pseudoknots; overlap and
-    crossing are mutually exclusive relations.
+    crossing are mutually exclusive relations.  On booleans `a > b` is
+    "a and not b", which broadcasts as well.
     """
-    return not stems_overlap(s1, s2) and pairs_cross(s1.span, s2.span)
+    return pairs_cross(s1.span, s2.span) > stems_overlap(s1, s2)
 
 
 @dataclass(frozen=True)
@@ -269,6 +307,16 @@ class Domain:
         return self.members + (self.dummy_index,)
 
 
+def row_blocks(n: int):
+    """Consecutive row ranges (lo, hi) of an n-column relation.
+
+    Each block holds at most BLOCK_CELLS cells (one row at least), so the
+    arrays of a block's relations stay bounded whatever n is.
+    """
+    rows = max(1, BLOCK_CELLS // max(n, 1))
+    return [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+
+
 def partition_domains(stems: StemSet) -> list[Domain]:
     """Greedy left-to-right partition of the stem list into domains.
 
@@ -276,20 +324,24 @@ def partition_domains(stems: StemSet) -> list[Domain]:
     the next stem overlaps every stem already in it; otherwise a new domain
     starts.  Every stem lands in exactly one domain.  Dummy qubit indices
     are assigned after the stem qubits, one per domain in scan order.
+
+    The scan reads rows of the overlap relation, computed per row block
+    against the stems from the current domain's first member on.
     """
-    groups: list[list[int]] = []
-    current: list[int] = []
-    for idx, stem in enumerate(stems):
-        if current and not all(stems_overlap(stem, stems[m]) for m in current):
-            groups.append(current)
-            current = [idx]
-        else:
-            current.append(idx)
-    if current:
-        groups.append(current)
     n = len(stems)
+    block = stems.block()
+    starts = [0] if n else []
+    for lo, hi in row_blocks(n):
+        first = starts[-1]
+        overlap = stems_overlap(block[lo:hi, None], block[first:hi])
+        for idx in range(lo, hi):
+            start = starts[-1]
+            if not overlap[idx - lo, start - first : idx - first].all():
+                starts.append(idx)
+    bounds = starts + [n]
     return [
-        Domain(members=tuple(g), dummy_index=n + d) for d, g in enumerate(groups)
+        Domain(members=tuple(range(a, b)), dummy_index=n + d)
+        for d, (a, b) in enumerate(zip(bounds, bounds[1:]))
     ]
 
 

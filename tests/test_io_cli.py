@@ -1,15 +1,19 @@
+import hashlib
 import json
 import os
+import time
+from importlib.resources import files
 
 import jsonschema
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rnaqaoa import io as io_
 from rnaqaoa.cli import main
 from rnaqaoa.errors import InputError
-from rnaqaoa.instances import load_sequences
+from rnaqaoa.instances import load_sequences, random_sequence
 from rnaqaoa.rna import Sequence
 
 PKB092 = "AAAGUCGCUGAAGACUUAAAAUUCAGG"
@@ -499,6 +503,162 @@ def test_cli_exit_code_resource_guard(tmp_path):
     fasta = tmp_path / "huge.fasta"
     fasta.write_text(f">huge\n{seq.bases}\n")
     assert main(["solve", str(fasta), "--method", "brute"]) == 2
+
+
+@pytest.mark.parametrize("method", ["qaoa-x", "qaoa-xy", "brute"])
+def test_cli_solve_refuses_too_many_qubits_before_building_the_model(tmp_path, monkeypatch, capsys, method):
+    def no_build(*args, **kwargs):
+        raise AssertionError("the model was built before the qubit guard")
+
+    monkeypatch.setattr("rnaqaoa.cli.build_qubo", no_build)
+    monkeypatch.setattr("rnaqaoa.qaoa.build_qubo", no_build)
+    fasta = tmp_path / "long.fasta"
+    fasta.write_text(f">long\n{random_sequence(np.random.default_rng(1), 70).bases}\n")
+    assert main(["solve", str(fasta), "--method", method]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("resource guard: ")
+    assert "exceed the dense limit of 24" in err or "exceed the exhaustive/dense limit of 24" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["qubo"], "use --maximal or a larger --min-stem"),
+    (["solve", "--method", "brute"], "exceed the exhaustive/dense limit"),
+])
+def test_cli_refuses_800nt_all_runs_within_seconds(tmp_path, capsys, argv, message):
+    fasta = tmp_path / "long.fasta"
+    fasta.write_text(f">long\n{random_sequence(np.random.default_rng(0), 800).bases}\n")
+    start = time.perf_counter()
+    assert main([argv[0], str(fasta), *argv[1:]]) == 2
+    assert time.perf_counter() - start < 10.0
+    assert message in capsys.readouterr().err
+
+
+#: sha256 of the stems and qubo documents on the packaged benchmark FASTA
+#: (written as benchmark.fasta in the working directory, timestamp pinned),
+#: computed with the per-pair build_qubo and json.dumps writer they replace.
+GOLDEN_DIGESTS = {
+    ("stems",): "196512ac488627fb8611e93cdff2d8af1034646b74089aab9e874b08816c5400",
+    ("stems", "--maximal"): "52c17e6bad21f02b2c92413e815eb034dc502fe5994304c66c91c6b53aef9258",
+    ("qubo",): "ea8b6597117fa84a56d9c2fca9259ec64aa6ca9dbb1fce289d1ef2afed521de0",
+    ("qubo", "--maximal"): "e2861f823b489925527407c9d2c93f7bccdf294f7783af361f085b62ceccb53c",
+    ("qubo", "cp=0.3"): "8ee31133c3f671b8ae71aff03d55e8bd88ac3424405ea3c718fe96757b1b58c4",
+    ("qubo", "--maximal", "cp=0.3"): "3f36f683645ed6b3ad37627742744f7b6b0f544b93076ff217cafa1dd923d93a",
+    ("qubo", "cp=-0.7"): "df5673c56b7fc3ca4592eeece52e76136d3eb04130c88ca6fe8353feeb006a9b",
+    ("qubo", "--maximal", "cp=-0.7"): "850a756decde73ac7dfcd19f08d9349cd86e2dc9952cb46b48c937f4676c00c2",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_DIGESTS))
+def test_stems_and_qubo_documents_match_golden_digests(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(io_.CONFIG_ENV_VAR, raising=False)
+    monkeypatch.setenv(io_.TIMESTAMP_ENV_VAR, "2026-01-01T00:00:00+00:00")
+    (tmp_path / "benchmark.fasta").write_text(
+        files("rnaqaoa").joinpath("data/benchmark.fasta").read_text()
+    )
+    flags = []
+    for arg in argv[1:]:
+        if arg.startswith("cp="):
+            (tmp_path / "cp.json").write_text(json.dumps({"qubo": {"c_p": float(arg[3:])}}))
+            flags += ["--config", "cp.json"]
+        else:
+            flags.append(arg)
+    assert main([argv[0], "benchmark.fasta", *flags, "--out", "doc.json"]) == 0
+    digest = hashlib.sha256((tmp_path / "doc.json").read_bytes()).hexdigest()
+    assert digest == GOLDEN_DIGESTS[argv]
+
+
+# ---------------------------------------------------------------------------
+# JSON writer
+
+
+def _json_or_error(call):
+    try:
+        return call()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_as_json_dumps(obj):
+    want = _json_or_error(lambda: json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    assert _json_or_error(lambda: io_.write_json(obj)) == want
+
+
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 0.0]),
+)
+
+
+@st.composite
+def _records(draw, values):
+    """Lists of dicts with one key set, the shape of most document tables."""
+    keys = draw(st.lists(st.text(max_size=3), min_size=1, max_size=4, unique=True))
+    rows = draw(st.integers(min_value=1, max_value=4))
+    return [{k: draw(values) for k in keys} for _ in range(rows)]
+
+
+_json_values = st.recursive(
+    _scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+        _records(children),
+        _records(_scalars),
+        st.dictionaries(st.one_of(st.integers(), st.floats(), st.booleans(), st.none()),
+                        children, max_size=3),
+    ),
+    max_leaves=24,
+)
+
+
+@given(_json_values)
+@example({"é\n\"\\\x01\u2028": [[], {}, (), (1, -0.0)], "": None})
+@example([{"%s": 1, "a%": float("nan")}, {"%s": -0.0, "a%": "%d"}])
+@example([float("inf"), -float("inf"), float("nan"), 1, 2.5, True, None, "x"])
+@example({"a": [{"k": 1}, {"k": [1]}], "b": [{"k": 1}, {"j": 1}], "c": ({"k": 1},)})
+@example([[1, 2], [3, 4]])
+@example({1: "a", 2.5: "b"})
+@example({True: 1, None: 2})
+@example({"a": 1, 2: 3})
+@settings(max_examples=300)
+def test_write_json_matches_json_dumps(obj):
+    _assert_same_as_json_dumps(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    object(),
+    [1, {1j}],
+    {"a": [{"k": 1}, {"k": np.int64(2)}]},
+    [{"k": 1}, {"k": b"x"}],
+    {"rows": [1.0, np.float64(2.0), np.bool_(True)]},
+    {(1, 2): 3},
+    [{"k": 1}, {"k": 2, (1,): 3}],
+    {"a": 1, "b": set()},
+])
+def test_write_json_raises_as_json_dumps_on_unsupported_types(obj):
+    with pytest.raises(TypeError):
+        io_.write_json(obj)
+    _assert_same_as_json_dumps(obj)
+
+
+def test_write_json_detects_circular_references_and_allows_shared_ones():
+    loop = [1]
+    loop.append(loop)
+    _assert_same_as_json_dumps({"a": loop})
+    mapping = {}
+    mapping["self"] = mapping
+    _assert_same_as_json_dumps([mapping])
+    shared = [{"k": 1}, [2]]
+    _assert_same_as_json_dumps({"x": shared, "y": [shared, shared]})
+
+
+def test_write_json_writes_the_file(tmp_path):
+    doc = {"b": [1, 2.5], "a": {"x": None}}
+    path = tmp_path / "doc.json"
+    text = io_.write_json(doc, path)
+    assert path.read_text() == text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def test_cli_bad_readout_flag(tmp_path):

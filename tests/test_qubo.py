@@ -1,12 +1,16 @@
 import itertools
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rnaqaoa import qubo as qubo_mod
+from rnaqaoa import rna
 from rnaqaoa.errors import ResourceLimitError
-from rnaqaoa.instances import generate_instances
+from rnaqaoa.instances import generate_instances, random_sequence
 from rnaqaoa.qubo import (
     IsingModel,
     QuboModel,
@@ -26,7 +30,9 @@ from rnaqaoa.rna import (
     Sequence,
     Stem,
     enumerate_stems,
+    pairs_cross,
     partition_domains,
+    stems_overlap,
     stems_pseudoknot,
 )
 
@@ -109,6 +115,151 @@ def test_build_qubo_single_stem():
 def test_build_qubo_quadratic_keys_lower_index_second():
     model = build_qubo(enumerate_stems(Sequence(PKB092)), QuboParams())
     assert all(j < i for (i, j) in model.quadratic)
+
+
+def _reference_quadratic(stems, c_p):
+    """The per-pair loop: keys (i, j), j < i, by j then i; overlap as int."""
+    out = {}
+    for j, i in itertools.combinations(range(len(stems)), 2):
+        si, sj = stems[i], stems[j]
+        if stems_overlap(si, sj):
+            out[(i, j)] = -(si.k + sj.k)
+        elif pairs_cross(si.span, sj.span) and c_p * (si.k + sj.k) != 0.0:
+            out[(i, j)] = c_p * (si.k + sj.k)
+    return out
+
+
+def _balanced_sequence(seed, length):
+    bases = np.array(list("ACGU" * (length // 4 + 1))[:length])
+    np.random.default_rng(seed).shuffle(bases)
+    return Sequence("".join(bases))
+
+
+@pytest.mark.parametrize("length", [88, 152])
+@pytest.mark.parametrize("maximal", [False, True])
+def test_build_qubo_entries_equal_the_per_pair_loop(monkeypatch, length, maximal):
+    """Order, value and type of every coupling, with blocks split and whole."""
+    stems = enumerate_stems(_balanced_sequence(length, length), maximal_only=maximal)
+    whole = {cp: list(build_qubo(stems, QuboParams(c_p=cp)).quadratic.items()) for cp in (0.0, 0.3, -0.7)}
+    monkeypatch.setattr(rna, "BLOCK_CELLS", 7 * len(stems))
+    assert len(rna.row_blocks(len(stems))) > 1
+    for cp in (0.0, 0.3, -0.7):
+        want = list(_reference_quadratic(stems, cp).items())
+        got = list(build_qubo(stems, QuboParams(c_p=cp)).quadratic.items())
+        assert got == want == whole[cp]
+        assert [type(v) for _, v in got] == [type(v) for _, v in want]
+        assert all(type(i) is int and type(j) is int for (i, j), _ in got)
+    assert any(type(v) is float for _, v in whole[0.3])
+    assert any(type(v) is int for _, v in whole[0.3])
+
+
+def test_build_qubo_calls_penalty_once_per_block(monkeypatch):
+    stems = enumerate_stems(_balanced_sequence(0, 88))
+    calls = []
+    original = qubo_mod.penalty
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(qubo_mod, "penalty", counted)
+    monkeypatch.setattr(rna, "BLOCK_CELLS", 10 * len(stems))
+    build_qubo(stems, QuboParams())
+    assert len(calls) == len(rna.row_blocks(len(stems))) > 1
+
+
+def _loop_check(quadratic, n):
+    """The per-entry checks as they were written before the array form."""
+    for (i, j), v in quadratic.items():
+        if not (0 <= j < i < n):
+            raise ValueError(f"quadratic key ({i}, {j}) must have j < i < n")
+        if not np.isfinite(v):
+            raise ValueError(f"non-finite coefficient at ({i}, {j})")
+
+
+def _outcome(call):
+    try:
+        call()
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("quadratic", [
+    {},
+    {(1, 0): -6, (2, 1): 0.5},
+    {(2, 2): 1.0},
+    {(1, 2): 1.0},
+    {(3, 0): 1.0},
+    {(1, -1): 1.0},
+    {(1, 0): float("nan")},
+    {(1, 0): float("inf")},
+    {(2, 0): -float("inf"), (1, 5): 1.0},
+    {(1, 5): 1.0, (2, 0): float("nan")},
+    {(2, 1): 1.0, (1, 0): float("nan"), (0, 0): 1.0},
+    {(1.5, 0): 1.0},
+    {(2, 0.5): 1.0},
+    {(1, 0): 1j},
+    {(1, 0): None},
+    {(1, 0): "x"},
+    {(1, None): 1.0},
+    {(2, 1, 0): 1.0},
+    {(1,): 1.0},
+    {(1, 0): True, (2, 1): np.float64(2.5), (np.int64(2), 0): 3},
+    {(1, 0): 1.0, (2, 1): "1"},
+    {("1", "0"): 1.0},
+    {(1, 0): Fraction(1, 2)},
+    {(1, 0): 2**70},
+    {(2**70, 0): 1.0},
+    {(2, 1, 2): 1.0, (1,): 1.0},
+    {3: 1.0},
+    {"10": 1.0},
+])
+def test_qubo_model_checks_accept_and_reject_as_the_per_entry_loop(quadratic):
+    want = _outcome(lambda: _loop_check(quadratic, 3))
+    got = _outcome(lambda: QuboModel(n=3, linear=(0.0,) * 3, quadratic=dict(quadratic)))
+    assert got == want
+
+
+def test_qubo_model_rejects_bad_keys_and_values():
+    with pytest.raises(ValueError, match=r"quadratic key \(0, 1\) must have j < i < n"):
+        QuboModel(n=2, linear=(0.0, 0.0), quadratic={(1, 0): 1.0, (0, 1): 1.0})
+    with pytest.raises(ValueError, match=r"non-finite coefficient at \(1, 0\)"):
+        QuboModel(n=2, linear=(0.0, 0.0), quadratic={(1, 0): float("nan")})
+
+
+def test_build_qubo_refuses_too_many_stem_pairs_before_scoring(monkeypatch):
+    stems = enumerate_stems(Sequence(PKB092))  # 18 stems, 153 pairs
+    monkeypatch.setattr(qubo_mod, "MAX_QUADRATIC_BYTES", 153 * qubo_mod.COUPLING_BYTES)
+    build_qubo(stems)
+    monkeypatch.setattr(qubo_mod, "MAX_QUADRATIC_BYTES", 153 * qubo_mod.COUPLING_BYTES - 1)
+    monkeypatch.setattr(qubo_mod, "penalty", None)
+    with pytest.raises(ResourceLimitError, match="--maximal or a larger --min-stem"):
+        build_qubo(stems)
+
+
+def test_stem_pair_guard_admits_400nt_maximal_and_refuses_800nt_all_runs():
+    stems = enumerate_stems(random_sequence(np.random.default_rng(0), 400), maximal_only=True)
+    times = []
+    for _ in range(3):  # best of three: the machine may be shared
+        start = time.perf_counter()
+        model = build_qubo(stems)
+        times.append(time.perf_counter() - start)
+    assert model.n == len(stems) > 2500
+    assert min(times) < 1.0
+    stems = enumerate_stems(random_sequence(np.random.default_rng(0), 800))
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        build_qubo(stems)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_stem_pair_guard_admits_benchmark_sized_inputs(seed):
+    """All-runs stem sets of uniform random 88-152 nt sequences, whose stem counts vary widely."""
+    for length in (88, 104, 120, 136, 152):
+        stems = enumerate_stems(random_sequence(np.random.default_rng(seed), length))
+        assert build_qubo(stems).n == len(stems)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

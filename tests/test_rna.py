@@ -5,16 +5,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rnaqaoa import rna
 from rnaqaoa.errors import InputError
+from rnaqaoa.instances import random_sequence
 from rnaqaoa.qubo import QuboParams, penalty
 from rnaqaoa.rna import (
     Sequence,
     Stem,
+    StemBlock,
     StemSet,
     can_pair,
     enumerate_stems,
     pairing_matrix,
     partition_domains,
+    pairs_cross,
     stems_overlap,
     stems_pseudoknot,
     structure_from_selection,
@@ -226,6 +230,42 @@ def test_relations_match_position_set_oracle(s1, s2, c_p):
     assert penalty(s1, s2, QuboParams(c_p=c_p)) == want
 
 
+def _block(stems):
+    return StemBlock(*(np.array([getattr(s, f) for s in stems], dtype=np.int64) for f in "ijk"))
+
+
+@given(
+    st.lists(stems_near_start(), min_size=1, max_size=8),
+    st.lists(stems_near_start(), min_size=1, max_size=12),
+    st.sampled_from([0.0, 0.5, -0.7]),
+)
+@settings(max_examples=200)
+def test_broadcast_relations_match_position_set_oracle(rows, cols, c_p):
+    """A column block against a row block gives every pair's relation and coupling."""
+    block_rows, block_cols = _block(rows)[:, None], _block(cols)
+    overlap = stems_overlap(block_rows, block_cols)
+    spans_cross = pairs_cross(block_rows.span, block_cols.span)
+    knot = stems_pseudoknot(block_rows, block_cols)
+    values = penalty(block_rows, block_cols, QuboParams(c_p=c_p))
+    assert overlap.shape == knot.shape == values.shape == (len(rows), len(cols))
+    assert values.dtype == np.float64
+    for r, s1 in enumerate(rows):
+        for c, s2 in enumerate(cols):
+            want_overlap = bool(_occupied(s1) & _occupied(s2))
+            want_knot = not want_overlap and _some_pairs_cross(s1, s2)
+            assert overlap[r, c] == want_overlap
+            assert spans_cross[r, c] == (s1.i < s2.i < s1.j < s2.j or s2.i < s1.i < s2.j < s1.j)
+            assert knot[r, c] == want_knot
+            if want_overlap:
+                want = -(s1.k + s2.k)
+            elif want_knot:
+                want = c_p * (s1.k + s2.k)
+            else:
+                want = 0.0
+            assert values[r, c] == want
+            assert values[r, c] == penalty(s1, s2, QuboParams(c_p=c_p))
+
+
 @given(sequences)
 @settings(max_examples=40)
 def test_relations_symmetric_and_exclusive(seq):
@@ -280,6 +320,26 @@ def test_pkb092_domains_match_prefix_scan_oracle():
     doms = partition_domains(stems)
     assert [d.members for d in doms] == _prefix_scan_oracle(stems)
     assert [d.size for d in doms] == [8, 8, 2]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("maximal", [False, True])
+def test_domains_with_split_blocks_match_prefix_scan_oracle(monkeypatch, seed, maximal):
+    stems = enumerate_stems(random_sequence(np.random.default_rng(seed), 90), maximal_only=maximal)
+    whole = partition_domains(stems)
+    assert [d.members for d in whole] == _prefix_scan_oracle(stems)
+    monkeypatch.setattr(rna, "BLOCK_CELLS", 3 * len(stems))  # three rows per block
+    assert len(rna.row_blocks(len(stems))) > 1
+    assert partition_domains(stems) == whole
+
+
+def test_row_blocks_cover_every_row_once(monkeypatch):
+    monkeypatch.setattr(rna, "BLOCK_CELLS", 20)
+    assert rna.row_blocks(7) == [(0, 2), (2, 4), (4, 6), (6, 7)]
+    assert rna.row_blocks(0) == []
+    monkeypatch.setattr(rna, "BLOCK_CELLS", 3)
+    assert rna.row_blocks(5) == [(i, i + 1) for i in range(5)]
+
 
 
 @given(sequences)
