@@ -10,6 +10,15 @@ visited levels.
 Parameter bounds are beta in [0, pi] (the X rotation has period pi up to a
 global phase) and gamma in [-2*pi, 2*pi]; interpolated schedules are clipped
 back into the box before re-optimization.
+
+Two runners compute a schedule's final state.  `run_schedule`, the loss
+evaluator, works over the mixer's basis (the feasible one-hot basis under
+XY) in the mixer's eigenbasis: each layer is a phase multiply per mixer
+group and for the cost, joined by precomputed real basis changes, and a
+stack of schedules runs in one call with each row equal to its single
+run bit for bit.  `reference_state` runs the layer functions of
+`simulator` on the dense initial state; it is the reference semantics, and
+each level's sampled state comes from it, checked against the evaluator.
 """
 
 from __future__ import annotations
@@ -44,6 +53,7 @@ from .simulator import (
     SampleSet,
     apply_cost_layer,
     apply_mixer,
+    change_basis,
     cost_layer_ops,
     init_uniform,
     mixer_layer_ops,
@@ -224,6 +234,12 @@ class Problem:
     states: ground_mask marks stem bits among the oracle's degenerate optima
     (dummy bits ignored), infeasible_mask a domain ring without exactly one
     set bit (never under the X mixer).
+
+    The schedule evaluator (`run_schedule`) works over the mixer's basis:
+    `mixer.feasible` under XY, all 2^n states under X.  `start` is the
+    initial state there and `basis_energies` the energy diagonal there;
+    `energy_levels` are its distinct values and `energy_index` the position
+    of each entry's value among them.
     """
 
     stems: StemSet
@@ -238,6 +254,10 @@ class Problem:
     optimum: float
     ground_mask: np.ndarray
     infeasible_mask: np.ndarray
+    start: np.ndarray
+    basis_energies: np.ndarray
+    energy_levels: np.ndarray
+    energy_index: np.ndarray
 
     @property
     def n_stems(self) -> int:
@@ -286,9 +306,12 @@ def build_problem(stems: StemSet, params: QuboParams, mixer_kind: str) -> Proble
     winners, optimum = brute_force_solve(qubo)
     index = np.arange(2**ising.n)
     infeasible = np.zeros(index.size, dtype=bool)
+    start, energies = initial.amplitudes, cost.diagonal
     if mixer.feasible is not None:
         infeasible[:] = True
         infeasible[mixer.feasible] = False
+        start, energies = start[mixer.feasible], energies[mixer.feasible]
+    levels, level_index = np.unique(energies, return_inverse=True)
     return Problem(
         stems=stems, params=params, mixer=mixer, qubo=qubo, ising=ising,
         cost=cost, domains=domains, initial=initial,
@@ -296,41 +319,88 @@ def build_problem(stems: StemSet, params: QuboParams, mixer_kind: str) -> Proble
         optimum=optimum,
         ground_mask=np.isin(index >> (ising.n - qubo.n), [int(b, 2) for b in winners]),
         infeasible_mask=infeasible,
+        start=start,
+        basis_energies=energies,
+        energy_levels=levels,
+        energy_index=level_index,
     )
 
 
 def run_schedule(
     problem: Problem, schedule: ParameterSchedule | Sequence[ParameterSchedule]
 ) -> QuantumState:
-    """Alternating cost/mixer layers applied to the problem's initial state.
+    """Final state of the schedule, over the mixer's basis: the loss evaluator.
 
     A sequence of equal-level schedules runs as one stack, row k holding
-    the final state of schedule k exactly as a single run would give it.
-    Under the XY mixer the layers act on the mixer's feasible basis only,
-    and the result is scattered back to all 2^n amplitudes once, with every
-    feasible amplitude equal to the dense layers' bit for bit.  The start
-    and final states are checked (every row's norm); the layers in between
-    are not.
+    the final state of schedule k bit for bit as a single run would give
+    it.  The state is a subspace state over `problem.mixer.feasible` under
+    XY and a dense one under X, and every row's norm is checked.  It agrees
+    with `reference_state` to roundoff (about 1e-14 in probability), not
+    bit for bit.
     """
-    basis = problem.mixer.feasible
-    start = problem.initial.amplitudes
-    if basis is not None:
-        start = start[basis]
-    if isinstance(schedule, ParameterSchedule):
-        layers = zip(schedule.betas, problem.effective_gammas(schedule))
-    else:
-        if len({s.p for s in schedule}) != 1:
-            raise ValueError("a stack needs one or more schedules of equal level")
-        start = np.tile(start, (len(schedule), 1))
-        layers = zip(
-            zip(*(s.betas for s in schedule)),
-            zip(*(problem.effective_gammas(s) for s in schedule)),
-        )
-    state = QuantumState(start, basis=basis, n_qubits=problem.n_qubits)
-    for beta, gamma in layers:
+    single = isinstance(schedule, ParameterSchedule)
+    schedules = [schedule] if single else list(schedule)
+    if len({s.p for s in schedules}) != 1:
+        raise ValueError("a stack needs one or more schedules of equal level")
+    amps = _evolve(problem, schedules)
+    return QuantumState(
+        amps[0] if single else amps, basis=problem.mixer.feasible, n_qubits=problem.n_qubits
+    )
+
+
+def _evolve(problem: Problem, schedules: list[ParameterSchedule]) -> np.ndarray:
+    """Unchecked (B, D) final amplitudes of equal-level schedules over the
+    mixer's basis, through the mixer's eigenbasis.
+
+    The cost phases of all layers and rows come from one complex exp over
+    the distinct energies, the mixer phases from one over the distinct
+    eigenvalues; each layer gathers its phases out to the basis.  A layer
+    is then a phase multiply for the cost and for each mixer group, joined
+    by the eigenbasis's basis changes.
+    """
+    eigen = problem.mixer.eigenbasis
+    betas = np.array([s.betas for s in schedules])
+    gammas = np.array([problem.effective_gammas(s) for s in schedules])
+    # (layer, row, distinct value)
+    cost = np.exp((-1j * gammas.T)[..., None] * problem.energy_levels)
+    mix = np.exp((1j * betas.T)[..., None] * eigen.eigenvalues)
+    amps = np.repeat(problem.start[None, :], len(schedules), axis=0)
+    # every phase is bound to a name, never a bare temporary: numpy reuses a
+    # large temporary operand as the output and swaps the factors, and
+    # complex multiplication is not commutative in the last bit
+    for k in range(len(cost)):
+        phase = cost[k].take(problem.energy_index, axis=1)
+        amps = amps * phase
+        for step, index in zip(eigen.steps, eigen.eigen_index):
+            amps = change_basis(amps, step, eigen.shapes)
+            phase = mix[k].take(index, axis=1)
+            amps = amps * phase
+        amps = change_basis(amps, eigen.steps[-1], eigen.shapes)
+    return amps
+
+
+def evaluation_bytes(problem: Problem, p: int) -> int:
+    """Working set of one row of a level-p `run_schedule` stack, in bytes:
+    the state and its three temporaries, and its p layers of cost and mixer
+    phases over the distinct values."""
+    values = len(problem.energy_levels) + len(problem.mixer.eigenbasis.eigenvalues)
+    return 16 * (4 * len(problem.start) + p * values)
+
+
+#: Largest difference between the evaluator's and the reference layers'
+#: expected energy of a level's final schedule.
+REFERENCE_ATOL = 1e-9
+
+
+def reference_state(problem: Problem, schedule: ParameterSchedule) -> QuantumState:
+    """Final dense state of one schedule through the layer functions
+    (`apply_cost_layer`, `apply_mixer`) on the problem's dense initial
+    state: the reference semantics of `run_schedule`, norm-checked."""
+    state = problem.initial
+    for beta, gamma in zip(schedule.betas, problem.effective_gammas(schedule)):
         state = apply_cost_layer(state, problem.cost, gamma)
         state = apply_mixer(state, problem.mixer, beta)
-    return state.dense()
+    return QuantumState(state.amplitudes)
 
 
 def circuit_for_schedule(problem: Problem, schedule: ParameterSchedule):
@@ -366,17 +436,21 @@ def optimize(
     it converges funds further descents from seeded random starts, which
     keeps one bad warm-start basin from being inherited level after level.
     SLSQP's forward-difference gradients take `fd_step` steps; the 2p probe
-    points of each gradient run through the layers as one stack, and each
-    counts as one evaluation, in order, exactly as if run one at a time.
-    Returns the best schedule seen (the input counts as evaluation zero, so
-    a zero budget returns it unchanged), its final state and its loss.
+    points of each gradient run through `run_schedule` as one stack (in
+    chunks of at most `STACK_BYTES` of working set), and each counts as one
+    evaluation, in order, exactly as if run one at a time.  Losses are
+    scored on the mixer's basis.  Returns the best schedule seen (the input
+    counts as evaluation zero, so a zero budget returns it unchanged), its
+    final dense state from `reference_state` and its loss; raises
+    RuntimeError if that state's expected energy differs from the
+    evaluator's by more than `REFERENCE_ATOL`.
     """
     p = schedule.p
     clipped = clip_schedule(schedule)
     x0 = np.array(clipped.betas + clipped.gammas)
     bounds = [BETA_BOUNDS] * p + [GAMMA_BOUNDS] * p
     rng = np.random.default_rng(seed)
-    per_stack = max(1, STACK_BYTES // problem.initial.amplitudes.nbytes)
+    per_stack = max(1, STACK_BYTES // evaluation_bytes(problem, p))
 
     def schedule_at(x: np.ndarray) -> ParameterSchedule:
         return ParameterSchedule(tuple(x[:p]), tuple(x[p:]))
@@ -387,11 +461,11 @@ def optimize(
             stack = run_schedule(problem, [schedule_at(x) for x in xs[at:at + per_stack]])
             if config.loss_mode == "exact":
                 out += [
-                    _expected_loss(probs, problem.cost.diagonal, config.optimizer_dropoff)
-                    for probs in stack.probabilities()
+                    _expected_loss(probs, problem.basis_energies, config.optimizer_dropoff)
+                    for probs in np.abs(stack.amplitudes) ** 2
                 ]
             else:
-                for amps in stack.amplitudes:
+                for amps in stack.dense().amplitudes:
                     drawn = sample(QuantumState(amps), config.shots, int(rng.integers(2**63)))
                     out.append(loss(drawn, problem.ising, config.optimizer_dropoff))
         return out
@@ -433,7 +507,15 @@ def optimize(
         start = np.clip(anchor + rng.normal(0.0, _RESTART_JITTER, 2 * p), lo, hi)
     best_val, best_x = min(evals, key=lambda t: t[0])
     best = schedule_at(best_x)
-    return best, run_schedule(problem, best), best_val
+    state = reference_state(problem, best)
+    expected = float(state.probabilities() @ problem.cost.diagonal)
+    evaluated = float(np.abs(_evolve(problem, [best])[0]) ** 2 @ problem.basis_energies)
+    if not abs(expected - evaluated) <= REFERENCE_ATOL:
+        raise RuntimeError(
+            f"the schedule evaluator gives expected energy {evaluated!r}, "
+            f"the reference layers {expected!r}"
+        )
+    return best, state, best_val
 
 
 # ---------------------------------------------------------------------------

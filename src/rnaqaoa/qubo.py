@@ -339,13 +339,16 @@ def model_to_dict(model: QuboModel, labels: list[str] | None = None) -> dict:
         labels = [f"x{i}" for i in range(model.n)]
     if len(labels) != model.n:
         raise ValueError("label count mismatch")
+    items = list(model.quadratic.items())
+    # the keys are unique pairs, so ordering them orders the items
+    keys = np.array([key for key, _ in items], dtype=np.int64).reshape(-1, 2)
+    order = np.lexsort((keys[:, 1], keys[:, 0])).tolist()
     return {
         "n": model.n,
         "variables": list(labels),
         "linear": list(model.linear),
         "quadratic": [
-            {"i": i, "j": j, "value": v}
-            for (i, j), v in sorted(model.quadratic.items())
+            {"i": i, "j": j, "value": v} for (i, j), v in (items[k] for k in order)
         ],
         "offset": model.offset,
     }

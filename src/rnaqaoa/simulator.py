@@ -3,21 +3,23 @@
 Three execution paths cover different needs:
 
 * Layer operations (`apply_cost_layer`, `apply_x_mixer`,
-  `apply_parity_xy_mixer`) act on whole layers at once: the cost layer is a
-  diagonal phase multiply and each XX+YY pair rotation is applied as an
-  exact 4x4 unitary.  They take one state or a stack of states, one per
-  row, so a batch of circuits pays the per-layer Python overhead once.
-  On dense 2^n states they are the reference of the noiseless solver.
-* The same layer operations on a subspace state: the XY mixer never
-  leaves the states with one set bit per domain ring, so `MixerSpec`
-  precomputes that feasible basis (the product of one-hot choices per ring,
-  not a scan of 2^n) and the positions of each pair's |01> and |10> states
-  in it.  A `QuantumState` that carries a basis holds only those columns;
-  the cost layer reads the diagonal at the basis and the XY mixer applies
-  each pair rotation to the basis entries alone, with the dense kernel's
-  arithmetic in the same order, so every feasible amplitude equals the
-  dense path's bit for bit.  `qaoa.run_schedule` runs the XY mixer this way
-  and scatters the result back to 2^n amplitudes once at the end.
+  `apply_parity_xy_mixer`) act on whole layers at once on dense 2^n
+  states: the cost layer is a diagonal phase multiply and each XX+YY pair
+  rotation is applied as an exact 4x4 unitary.  They take one state or a
+  stack of states, one per row, so a batch of circuits pays the per-layer
+  Python overhead once.  They are the reference semantics of the noiseless
+  solver: the warm-up grid and each level's sampled state run on them.
+* The mixer's eigenbasis (`MixerSpec.eigenbasis`), which `qaoa.run_schedule`
+  uses to evaluate whole schedules.  Each mixer layer is a product of
+  groups of commuting pair rotations on disjoint qubits (one group of
+  single-qubit rotations for X), and each group is diagonal in a real
+  orthogonal basis: the Hadamard basis for X, a product of per-pair
+  (|01> +- |10>)/sqrt(2) bases for XY.  The state stays over the mixer's
+  basis, the one-hot choice per domain ring under XY, so a layer is one
+  phase multiply per group and the cost, joined by precomputed basis
+  changes.  Each basis change is a Kronecker product of real matrices over
+  chunks of at most `CHUNK_ROWS` rows (qubits for X, domain rings for XY),
+  applied by `change_basis` one row block at a time.
 * `simulate_circuit` executes an explicit gate list in which every
   entangling operation is decomposed down to CNOT/CZ.  This path feeds the
   gate-count report and the circuit trace export, and is cross-checked
@@ -30,10 +32,11 @@ Three execution paths cover different needs:
 Where states are checked: the `QuantumState` constructor checks the shape
 and the norm of every row.  The layer operations return their states
 unchecked, because their input was checked and the layers are unitary;
-`qaoa.run_schedule` builds its start state and its final 2^n state through
-the constructor, so every row's norm is still checked once per circuit
-evaluation.  `sample`, `run_noisy` and the gate kernel take dense states
-only.
+`qaoa.run_schedule` and `qaoa.reference_state` build their final states
+through the constructor, so every row's norm is still checked once per
+circuit evaluation.  A state may carry a `basis` (a subspace state, as
+`run_schedule` returns under XY); the layer operations, `sample`,
+`run_noisy` and the gate kernel take dense states only.
 
 Bit conventions: qubit 0 is the most significant bit of the basis index, so
 `format(index, f"0{n}b")[q]` is the value of qubit q and reshaping the
@@ -43,6 +46,7 @@ to spins as z = 1 - 2b.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -67,7 +71,7 @@ class QuantumState:
     operations return new states.
 
     A dense state has D = 2^n columns, one per basis state.  A subspace state
-    carries `basis`, the sorted basis-state indices its D columns stand for
+    carries `basis`, the distinct basis-state indices its D columns stand for
     (every other amplitude is zero), and names its register in `n_qubits`.
     """
 
@@ -121,7 +125,14 @@ class QuantumState:
         return self.amplitudes.ndim == 2
 
     def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
+        """Measurement probability of each of the 2^n register basis states,
+        one row per state of a stack; zero off a subspace state's basis."""
+        probs = np.abs(self.amplitudes) ** 2
+        if self.basis is None:
+            return probs
+        dense = np.zeros(probs.shape[:-1] + (1 << self.n,))
+        dense[..., self.basis] = probs
+        return dense
 
     def norm(self) -> float | np.ndarray:
         """Euclidean norm; one per row for a stack."""
@@ -175,6 +186,35 @@ class CostLayerSpec:
         return cls(ising=ising, diagonal=ising_diagonal(ising))
 
 
+#: Largest number of rows of one Kronecker factor of a mixer eigenbasis.
+CHUNK_ROWS = 2**7
+
+
+@dataclass(frozen=True)
+class MixerEigenbasis:
+    """One mixer layer as real orthogonal basis changes and diagonal phases.
+
+    The layer applies groups g = 1..G of pair rotations in order; the pairs
+    of one group act on disjoint qubits, so the group is exp(i*beta*M_g) =
+    V_g exp(i*beta*L_g) V_g^T with V_g real orthogonal and L_g diagonal.  A
+    state kept over the mixer's basis passes the layer as
+
+        V_G P_G (V_G^T V_{G-1}) ... (V_2^T V_1) P_1 V_1^T,   P_g = exp(i*beta*L_g)
+
+    `steps` holds those G + 1 basis changes in order.  Each is a Kronecker
+    product over chunks, one matrix per chunk; chunk c spans `shapes[c]` =
+    (outer, rows, inner) of the basis, the product of the chunks' sizes
+    before it, its own and the product after it.  `eigenvalues` are the
+    distinct diagonal values of all L_g, and `eigen_index[g]` gives, per
+    basis position, the index of its value of L_(g+1) in them.
+    """
+
+    shapes: tuple[tuple[int, int, int], ...]
+    steps: tuple[tuple[np.ndarray, ...], ...]
+    eigenvalues: np.ndarray
+    eigen_index: tuple[np.ndarray, ...]
+
+
 @dataclass(frozen=True)
 class MixerSpec:
     """Mixer layer description.
@@ -182,13 +222,14 @@ class MixerSpec:
     kind "x": independent exp(i*beta*X) rotations on every qubit.
     kind "parity_xy": per-domain rings of XX+YY pair rotations applied in
     two sublayers (odd-position pairs, then even-position pairs).  A ring of
-    two qubits applies its single pair once.  Computed once here, per pair
-    in application order: `xy_pairs`, the strided view onto its |01> and
-    |10> amplitudes within one dense state, and `xy_positions`, a (2, m)
-    array of the positions of its |01> and |10> states within `feasible`.
-    `feasible` holds the sorted indices of the basis states with exactly
-    one set bit per ring (qubits outside every ring take either value); it
-    is None under the X mixer, which has no infeasible states.
+    two qubits applies its single pair once.  Computed once here:
+    `xy_pairs`, per pair in application order the strided view onto its
+    |01> and |10> amplitudes within one dense state; `feasible`, the
+    indices of the basis states with exactly one set bit per ring (qubits
+    outside every ring take either value) in the tensor order of the
+    rings' choices, or None under the X mixer, which has no infeasible
+    states; and `eigenbasis`, the layer over that basis (all 2^n states
+    under X) as a `MixerEigenbasis`.
     """
 
     kind: str
@@ -196,13 +237,16 @@ class MixerSpec:
     rings: tuple[tuple[int, ...], ...] = ()
     xy_pairs: tuple = field(init=False, repr=False, compare=False)
     feasible: np.ndarray | None = field(init=False, repr=False, compare=False)
-    xy_positions: tuple = field(init=False, repr=False, compare=False)
+    eigenbasis: MixerEigenbasis = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("x", "parity_xy"):
             raise ValueError(f"unknown mixer kind {self.kind!r}")
-        feasible, positions = None, ()
-        if self.kind == "parity_xy":
+        n = self.n_qubits
+        if self.kind == "x":
+            # a factor per qubit: its |0>, |1> states, one group of one pair
+            factors = [((0, 1 << (n - 1 - q)), [[(0, 1)]]) for q in range(n)]
+        else:
             seen: set[int] = set()
             for ring in self.rings:
                 if len(ring) < 2:
@@ -210,20 +254,28 @@ class MixerSpec:
                 if seen & set(ring):
                     raise ValueError("rings must be disjoint")
                 seen.update(ring)
-            if seen and max(seen) >= self.n_qubits:
+            if seen and max(seen) >= n:
                 raise ValueError("ring qubit outside register")
-            feasible = _one_hot_basis(self.n_qubits, self.rings)
-            positions = tuple(
-                _pair_positions(feasible, self.n_qubits, a, b)
-                for ring in self.rings for a, b in _parity_ordered_pairs(ring)
-            )
+            # a factor per ring, over its one-hot states, then one per free qubit
+            factors = [
+                (tuple(1 << (n - 1 - q) for q in ring), _pair_groups(ring))
+                for ring in self.rings
+            ]
+            factors += [((0, 1 << (n - 1 - q)), []) for q in range(n) if q not in seen]
         pairs = tuple(
-            _pair_view(self.n_qubits, a, b)
+            _pair_view(n, a, b)
             for ring in self.rings for a, b in _parity_ordered_pairs(ring)
         )
+        feasible = None
+        if self.kind == "parity_xy":
+            feasible = np.zeros(1, dtype=np.int64)
+            for bits, _ in factors:
+                feasible = (feasible[:, None] + np.array(bits, dtype=np.int64)).ravel()
+        # the generator of an XX+YY pair is twice the swap of its one-hot states
+        scale = 1.0 if self.kind == "x" else 2.0
         object.__setattr__(self, "xy_pairs", pairs)
         object.__setattr__(self, "feasible", feasible)
-        object.__setattr__(self, "xy_positions", positions)
+        object.__setattr__(self, "eigenbasis", _eigenbasis(factors, scale))
 
     @classmethod
     def x_mixer(cls, n_qubits: int) -> "MixerSpec":
@@ -235,26 +287,95 @@ class MixerSpec:
         return cls(kind="parity_xy", n_qubits=n_qubits, rings=rings)
 
 
-def _one_hot_basis(n: int, rings: tuple[tuple[int, ...], ...]) -> np.ndarray:
-    """Sorted indices of the n-qubit basis states with one set bit per ring,
-    built as the product of the per-ring choices."""
-    covered = {q for ring in rings for q in ring}
-    choices = [[1 << (n - 1 - q) for q in ring] for ring in rings]
-    choices += [[0, 1 << (n - 1 - q)] for q in range(n) if q not in covered]
-    basis = np.zeros(1, dtype=np.int64)
-    for bits in choices:
-        basis = (basis[:, None] + np.array(bits, dtype=np.int64)).ravel()
-    return np.sort(basis)
+def _pair_groups(ring: tuple[int, ...]) -> list[list[tuple[int, int]]]:
+    """The ring's pair rotations in application order, as groups of pairs on
+    disjoint qubits given by their positions in the ring.  Each pair joins
+    the group after the last one that touches either of its qubits, so the
+    groups applied in order give the pairs' ordered product."""
+    position = {q: t for t, q in enumerate(ring)}
+    groups: list[list[tuple[int, int]]] = []
+    last: dict[int, int] = {}
+    for a, b in _parity_ordered_pairs(ring):
+        g = max(last.get(a, -1), last.get(b, -1)) + 1
+        if g == len(groups):
+            groups.append([])
+        groups[g].append((position[a], position[b]))
+        last[a] = last[b] = g
+    return groups
 
 
-def _pair_positions(basis: np.ndarray, n: int, a: int, b: int) -> np.ndarray:
-    """(2, m) positions in `basis` of the states where qubits (lo, hi) =
-    (a, b) sorted read 01 (first row) and of their 10 partners (second)."""
-    lo, hi = sorted((a, b))
-    lo_bit, hi_bit = 1 << (n - 1 - lo), 1 << (n - 1 - hi)
-    first = np.flatnonzero((basis & (lo_bit | hi_bit)) == hi_bit)
-    partner = np.searchsorted(basis, basis[first] ^ (lo_bit | hi_bit))
-    return np.stack([first, partner])
+def _eigenbasis(factors: list[tuple[tuple[int, ...], list]], scale: float) -> MixerEigenbasis:
+    """Eigenbasis of a mixer layer whose basis is the tensor product of the
+    factors' states, factor 0 most significant.  A factor is (its states,
+    its pair groups): pair (i, j) of group g swaps the factor's states i and
+    j, so it acts as exp(i*beta*scale*S) with S the swap, whose eigenvectors
+    are (e_i +- e_j)/sqrt(2) with eigenvalues +-1."""
+    groups = max([len(g) for _, g in factors], default=0) or 1
+    half = math.sqrt(0.5)
+    # per group, per factor: eigenvectors (columns) and eigenvalues
+    vectors, values = [], []
+    for g in range(groups):
+        vs, ls = [], []
+        for states, pair_groups in factors:
+            v, lam = np.eye(len(states)), np.zeros(len(states))
+            for i, j in pair_groups[g] if g < len(pair_groups) else ():
+                v[[i, j, i, j], [i, i, j, j]] = (half, half, half, -half)
+                lam[i], lam[j] = scale, -scale
+            vs.append(v)
+            ls.append(lam)
+        vectors.append(vs)
+        values.append(ls)
+    # consecutive factors form chunks of at most CHUNK_ROWS rows
+    chunks: list[list[int]] = []
+    sizes: list[int] = []
+    for f, (states, _) in enumerate(factors):
+        if chunks and sizes[-1] * len(states) <= CHUNK_ROWS:
+            chunks[-1].append(f)
+            sizes[-1] *= len(states)
+        else:
+            chunks.append([f])
+            sizes.append(len(states))
+    shapes = tuple(
+        (math.prod(sizes[:c]), sizes[c], math.prod(sizes[c + 1:])) for c in range(len(chunks))
+    )
+    chunk_v = [
+        [functools.reduce(np.kron, [vs[f] for f in chunk]) for chunk in chunks] for vs in vectors
+    ]
+    steps = [[v.T for v in chunk_v[0]]]
+    steps += [[b.T @ a for a, b in zip(chunk_v[g - 1], chunk_v[g])] for g in range(1, groups)]
+    steps.append(chunk_v[-1])
+    # per group, its eigenvalue at every basis position: a Kronecker sum
+    per_group = []
+    for ls in values:
+        total = np.zeros(1)
+        for lam in ls:
+            total = (total[:, None] + lam).ravel()
+        per_group.append(total)
+    distinct = np.unique(np.concatenate(per_group))
+    return MixerEigenbasis(
+        shapes=shapes,
+        steps=tuple(tuple(np.ascontiguousarray(w) for w in step) for step in steps),
+        eigenvalues=distinct,
+        eigen_index=tuple(np.searchsorted(distinct, total) for total in per_group),
+    )
+
+
+def change_basis(amps: np.ndarray, step: tuple[np.ndarray, ...], shapes) -> np.ndarray:
+    """One basis change of a `MixerEigenbasis` applied to every row of a
+    C-contiguous (B, D) stack of amplitudes.
+
+    Chunk c's real matrix multiplies the real and imaginary parts of each
+    (rows, 2 * inner) block of every row at once, as a stacked matmul, so
+    every block of every row is one BLAS call of one fixed shape: a row of
+    a stack comes out bit for bit equal to the same row run alone.  (One
+    flat GEMM over all rows would not: its columns round differently as the
+    stack grows.)
+    """
+    rows = len(amps)
+    for w, (outer, size, inner) in zip(step, shapes):
+        blocks = amps.view(float).reshape(rows * outer, size, 2 * inner)
+        amps = (w @ blocks).view(complex).reshape(rows, -1)
+    return amps
 
 
 def _pair_view(n: int, a: int, b: int) -> tuple[tuple, tuple, int]:
@@ -363,12 +484,12 @@ def _per_row(values: list, axes: int) -> np.ndarray:
 
 def apply_cost_layer(state: QuantumState, spec: CostLayerSpec, gamma: Angles) -> QuantumState:
     """Diagonal phase layer: a_x *= exp(-i * gamma * E(x))."""
-    diag = spec.diagonal if state.basis is None else spec.diagonal[state.basis]
+    _require_dense(state, "the cost layer")
     gammas = np.array(_row_angles(state, gamma))
     # Bound to a name, never a bare temporary: numpy reuses a large temporary
     # operand as the output and swaps the factors, and complex multiplication
     # is not commutative in the last bit.
-    phases = np.exp((-1j * gammas)[:, None] * diag).reshape(state.amplitudes.shape)
+    phases = np.exp((-1j * gammas)[:, None] * spec.diagonal).reshape(state.amplitudes.shape)
     return QuantumState._unchecked(state.amplitudes * phases, state)
 
 
@@ -410,36 +531,23 @@ def apply_parity_xy_mixer(state: QuantumState, spec: MixerSpec, beta: Angles) ->
     pairs; each pair rotation preserves the total excitation number, so the
     per-domain Hamming weight is conserved exactly.  A pair rotation
     exp(i*beta*(XX+YY)) acts only on span{|01>, |10>}, where the generator
-    equals 2X; |00> and |11> are untouched.  A dense state is updated over
-    all 2^n amplitudes; a state over the spec's feasible basis only at the
-    basis positions of each pair's |01> and |10> states, with the same
-    arithmetic in the same order.
+    equals 2X; |00> and |11> are untouched.  Each pair rotation updates all
+    2^n amplitudes in place through a strided view.
     """
     if spec.kind != "parity_xy":
         raise ValueError("mixer spec is not parity_xy")
-    subspace = state.basis is not None
-    if subspace and not (
-        state.basis is spec.feasible or np.array_equal(state.basis, spec.feasible)
-    ):
-        raise ValueError("state basis is not the mixer's feasible basis")
+    _require_dense(state, "the XY mixer")
     betas = _row_angles(state, beta)
-    axes = 2 if subspace else 4
-    c = _per_row([math.cos(2 * b) for b in betas], axes)
-    s = _per_row([1j * math.sin(2 * b) for b in betas], axes)
+    c = _per_row([math.cos(2 * b) for b in betas], 4)
+    s = _per_row([1j * math.sin(2 * b) for b in betas], 4)
     amps = state.amplitudes.copy()
     rows = amps.reshape(len(betas), -1)
     # each pair's two mixed amplitudes; the flip pairs each with its partner
-    if subspace:
-        for idx in spec.xy_positions:
-            pair = rows[:, idx]
-            rows[:, idx] = c * pair + s * pair[:, ::-1]
-    else:
-        # in place through its strided view
-        for shape, strides, offset in spec.xy_pairs:
-            pair = np.ndarray(
-                (len(rows),) + shape, complex, rows, offset, (rows.strides[0],) + strides
-            )
-            pair[...] = c * pair + s * pair[:, :, ::-1]
+    for shape, strides, offset in spec.xy_pairs:
+        pair = np.ndarray(
+            (len(rows),) + shape, complex, rows, offset, (rows.strides[0],) + strides
+        )
+        pair[...] = c * pair + s * pair[:, :, ::-1]
     return QuantumState._unchecked(amps, state)
 
 

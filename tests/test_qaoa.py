@@ -366,8 +366,8 @@ def test_chunked_gradients_reproduce_whole_stacks(suite, warmups, monkeypatch):
     stems = suite[8]
     cfg = QaoaConfig(mixer="parity_xy", p_max=4, seed=0)
     whole = solve(stems, QuboParams(), cfg, warmup=warmups["parity_xy"])
-    state_bytes = 16 * 2**whole.n_qubits
-    monkeypatch.setattr(qaoa_mod, "STACK_BYTES", 3 * state_bytes)
+    row_bytes = qaoa_mod.evaluation_bytes(whole.problem, cfg.p_start)
+    monkeypatch.setattr(qaoa_mod, "STACK_BYTES", 3 * row_bytes)
     log = _spy_on_batches(monkeypatch)
     chunked = solve(stems, QuboParams(), cfg, warmup=warmups["parity_xy"])
     assert log["largest"] == 3
@@ -440,14 +440,20 @@ def _dense_run(problem, schedules):
 
 def test_feasible_basis_is_the_product_of_one_hot_choices():
     for problem in _suite_xy_problems():
+        n, rings = problem.n_qubits, problem.mixer.rings
         basis = problem.mixer.feasible
-        assert (np.diff(basis) > 0).all()
         assert len(basis) == math.prod(dom.size + 1 for dom in problem.domains)
-        for idx in problem.mixer.xy_positions:
-            assert idx.shape[0] == 2
-            # every pair moves one excitation between its two qubits
-            assert (np.bitwise_count(basis[idx[0]] ^ basis[idx[1]]) == 2).all()
-    assert build_problem(single_stem_instance(), QuboParams(), "x").mixer.feasible is None
+        # in tensor order: ring 0's choice is the most significant digit
+        choices = [[1 << (n - 1 - q) for q in ring] for ring in rings]
+        assert np.array_equal(basis, np.ravel(functools.reduce(np.add.outer, choices)))
+        assert not _ring_violations(problem)[basis].any()
+        assert np.array_equal(problem.start, problem.initial.amplitudes[basis])
+        assert np.array_equal(problem.basis_energies, problem.cost.diagonal[basis])
+        levels, index = problem.energy_levels, problem.energy_index
+        assert (np.diff(levels) > 0).all() and np.array_equal(levels[index], problem.basis_energies)
+    problem = build_problem(single_stem_instance(), QuboParams(), "x")
+    assert problem.mixer.feasible is None
+    assert problem.start is problem.initial.amplitudes
 
 
 @given(
@@ -469,7 +475,7 @@ def test_run_schedule_subspace_equals_dense_layers(p, rows, seed):
         dense = _dense_run(problem, schedules)
         amps = fast.amplitudes.reshape(rows, -1)
         basis = problem.mixer.feasible
-        assert np.array_equal(amps[:, basis], dense.amplitudes[:, basis])
+        assert np.abs(amps - dense.amplitudes[:, basis]).max() <= 1e-12
         outside = _ring_violations(problem)
         assert fast.probabilities()[..., outside].sum(axis=-1).max() <= 1e-12
         assert dense.probabilities()[:, outside].sum(axis=-1).max() <= 1e-12
@@ -547,7 +553,14 @@ def test_run_schedule_checks_the_state_a_non_unitary_layer_leaves(mixer, monkeyp
             return QuantumState._unchecked(state.amplitudes * 1.01, state)
         return leaky
 
-    _wrap_layer_bindings(monkeypatch, wrap)
+    with monkeypatch.context() as m:
+        _wrap_layer_bindings(m, wrap)
+        with pytest.raises(ValueError, match="not normalized"):
+            qaoa_mod.reference_state(problem, schedule)
+    change_basis = qaoa_mod.change_basis
+    monkeypatch.setattr(
+        qaoa_mod, "change_basis", lambda *args: change_basis(*args) * 1.01
+    )
     with pytest.raises(ValueError, match="not normalized"):
         run_schedule(problem, schedule)
     with pytest.raises(ValueError, match="not normalized"):
@@ -648,7 +661,7 @@ def test_circuit_for_schedule_matches_fast_path():
     stems = single_stem_instance()
     problem = build_problem(stems, QuboParams(), "parity_xy")
     schedule = ParameterSchedule((0.4, 0.9), (0.3, 1.1))
-    fast = run_schedule(problem, schedule)
+    fast = run_schedule(problem, schedule).dense()
     slow = simulate_circuit(circuit_for_schedule(problem, schedule), problem.n_qubits)
     overlap = abs(np.vdot(fast.amplitudes, slow.amplitudes))
     assert overlap == pytest.approx(1.0, abs=1e-10)

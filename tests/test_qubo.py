@@ -394,3 +394,26 @@ def test_qubo_diagonal_matches_evaluate(idx):
         idx %= 2**model.n
     bits = format(idx, f"0{model.n}b")
     assert qubo_diagonal(model)[idx] == pytest.approx(model.evaluate(bits), abs=1e-9)
+
+
+@given(
+    n=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.floats(0.0, 1.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_model_export_orders_couplings_as_sorted_items(n, seed, density):
+    """The couplings come out in the order of the sorted `(key, value)`
+    items, whatever order they were inserted in; ints stay ints."""
+    rng = np.random.default_rng(seed)
+    keys = [(i, j) for i in range(n) for j in range(i) if rng.random() < density]
+    rng.shuffle(keys)
+    quadratic = {
+        (int(i), int(j)): (int(rng.integers(-9, 9)) if rng.random() < 0.5 else float(rng.normal()))
+        for i, j in keys
+    }
+    model = QuboModel(n=n, linear=(0.0,) * n, quadratic=quadratic)
+    expected = [{"i": i, "j": j, "value": v} for (i, j), v in sorted(quadratic.items())]
+    got = model_to_dict(model)["quadratic"]
+    assert got == expected
+    assert [type(e["value"]) for e in got] == [type(e["value"]) for e in expected]

@@ -103,9 +103,12 @@ def test_dense_only_operations_refuse_a_subspace_state():
         simulate_circuit([], 6, initial=state)
     with pytest.raises(ValueError, match="dense state"):
         apply_x_mixer(state, 0.3)
-    other = QuantumState(np.full(4, 0.5, dtype=complex), basis=np.array([0, 1, 2, 3]), n_qubits=6)
-    with pytest.raises(ValueError, match="feasible basis"):
-        apply_parity_xy_mixer(other, spec, 0.3)
+    # the layer kernels are the dense reference: none takes the feasible basis
+    with pytest.raises(ValueError, match="dense state"):
+        apply_parity_xy_mixer(state, spec, 0.3)
+    cost = CostLayerSpec(ising=None, diagonal=np.arange(64.0))
+    with pytest.raises(ValueError, match="dense state"):
+        apply_cost_layer(state, cost, 0.3)
 
 
 def test_quantum_state_rejects_bad_shapes():
