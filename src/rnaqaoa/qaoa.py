@@ -15,10 +15,16 @@ Two runners compute a schedule's final state.  `run_schedule`, the loss
 evaluator, works over the mixer's basis (the feasible one-hot basis under
 XY) in the mixer's eigenbasis: each layer is a phase multiply per mixer
 group and for the cost, joined by precomputed real basis changes, and a
-stack of schedules runs in one call with each row equal to its single
-run bit for bit.  `reference_state` runs the layer functions of
-`simulator` on the dense initial state; it is the reference semantics, and
-each level's sampled state comes from it, checked against the evaluator.
+stack of schedules (or of `[betas | gammas]` angle rows) runs in one call
+with each row equal to its single run bit for bit.  `reference_state` runs
+the layer functions of `simulator` on the dense initial state; it is the
+reference semantics, and each level's sampled state comes from it, checked
+against the evaluator.
+
+`optimize` keeps the angles as arrays and hands SLSQP its own gradient:
+scipy's 2-point forward differences with the absolute step `fd_step`, its
+2p probes scored as one `run_schedule` stack, so each gradient equals
+scipy's own one-probe-at-a-time estimate bit for bit.
 """
 
 from __future__ import annotations
@@ -68,6 +74,10 @@ GAMMA_BOUNDS = (-2.0 * math.pi, 2.0 * math.pi)
 
 MIXER_KINDS = ("x", "parity_xy")
 
+#: Largest finite-difference step: half of the narrowest box, so a step
+#: forward or backward from any point in the box stays in it.
+FD_STEP_MAX = (BETA_BOUNDS[1] - BETA_BOUNDS[0]) / 2
+
 
 @dataclass(frozen=True)
 class QaoaConfig:
@@ -105,6 +115,13 @@ class QaoaConfig:
             raise ValueError(f"mixer must be one of {MIXER_KINDS}")
         if self.loss_mode not in ("exact", "sampled"):
             raise ValueError("loss_mode must be 'exact' or 'sampled'")
+        # a forward step must fit the narrowest box (beta's, pi wide) on one
+        # side of every point, and must not round away at any angle in it
+        if not math.ulp(GAMMA_BOUNDS[1]) <= self.fd_step <= FD_STEP_MAX:
+            raise ValueError(
+                "fd_step must lie between the float spacing at 2*pi "
+                f"({math.ulp(GAMMA_BOUNDS[1]):.3g}) and pi/2, got {self.fd_step!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -146,6 +163,8 @@ def loss(samples: SampleSet, ising: IsingModel, dropoff: float) -> float:
 
 def _expected_loss(probs: np.ndarray, energies: np.ndarray, dropoff: float) -> float:
     """Same postselection rule evaluated on the exact distribution."""
+    if dropoff <= 0.0:  # probabilities are non-negative: every entry survives
+        return float(probs @ energies / probs.sum())
     mask = probs >= dropoff
     if mask.any():
         w = probs[mask]
@@ -327,62 +346,73 @@ def build_problem(stems: StemSet, params: QuboParams, mixer_kind: str) -> Proble
 
 
 def run_schedule(
-    problem: Problem, schedule: ParameterSchedule | Sequence[ParameterSchedule]
+    problem: Problem, schedule: ParameterSchedule | Sequence[ParameterSchedule] | np.ndarray
 ) -> QuantumState:
     """Final state of the schedule, over the mixer's basis: the loss evaluator.
 
-    A sequence of equal-level schedules runs as one stack, row k holding
-    the final state of schedule k bit for bit as a single run would give
-    it.  The state is a subspace state over `problem.mixer.feasible` under
-    XY and a dense one under X, and every row's norm is checked.  It agrees
-    with `reference_state` to roundoff (about 1e-14 in probability), not
-    bit for bit.
+    A sequence of equal-level schedules, or a (B, 2p) array of angle rows
+    laid out as the optimizer's `[betas | gammas]`, runs as one stack: row
+    k holds the final state of schedule k bit for bit as a single run would
+    give it.  The state is a subspace state over `problem.mixer.feasible`
+    under XY and a dense one under X, and every row's norm is checked.  It
+    agrees with `reference_state` to roundoff (about 1e-14 in probability),
+    not bit for bit.
     """
     single = isinstance(schedule, ParameterSchedule)
-    schedules = [schedule] if single else list(schedule)
-    if len({s.p for s in schedules}) != 1:
-        raise ValueError("a stack needs one or more schedules of equal level")
-    amps = _evolve(problem, schedules)
+    if isinstance(schedule, np.ndarray):
+        angles = schedule
+        if angles.ndim != 2 or 0 in angles.shape or angles.shape[1] % 2:
+            raise ValueError(f"an angle array needs shape (B, 2p), got {angles.shape}")
+    else:
+        schedules = [schedule] if single else list(schedule)
+        if len({s.p for s in schedules}) != 1:
+            raise ValueError("a stack needs one or more schedules of equal level")
+        angles = np.array([s.betas + s.gammas for s in schedules])
+    p = angles.shape[1] // 2
+    amps = _evolve(problem, angles[:, :p], angles[:, p:] / problem.phase_scale)
     return QuantumState(
         amps[0] if single else amps, basis=problem.mixer.feasible, n_qubits=problem.n_qubits
     )
 
 
-def _evolve(problem: Problem, schedules: list[ParameterSchedule]) -> np.ndarray:
-    """Unchecked (B, D) final amplitudes of equal-level schedules over the
-    mixer's basis, through the mixer's eigenbasis.
+def _evolve(problem: Problem, betas: np.ndarray, gammas: np.ndarray) -> np.ndarray:
+    """Unchecked (B, D) final amplitudes of (B, p) mixer angles and effective
+    cost angles over the mixer's basis, through the mixer's eigenbasis.
 
     The cost phases of all layers and rows come from one complex exp over
     the distinct energies, the mixer phases from one over the distinct
-    eigenvalues; each layer gathers its phases out to the basis.  A layer
-    is then a phase multiply for the cost and for each mixer group, joined
-    by the eigenbasis's basis changes.
+    eigenvalues; one take gathers the cost phases, and one each mixer
+    group's, out to the basis for as many layers as fit `STACK_BYTES`
+    (every layer at once unless the states are large).  A layer is then a
+    phase multiply for the cost and for each mixer group, joined by the
+    eigenbasis's basis changes.
     """
     eigen = problem.mixer.eigenbasis
-    betas = np.array([s.betas for s in schedules])
-    gammas = np.array([problem.effective_gammas(s) for s in schedules])
     # (layer, row, distinct value)
     cost = np.exp((-1j * gammas.T)[..., None] * problem.energy_levels)
     mix = np.exp((1j * betas.T)[..., None] * eigen.eigenvalues)
-    amps = np.repeat(problem.start[None, :], len(schedules), axis=0)
-    # every phase is bound to a name, never a bare temporary: numpy reuses a
-    # large temporary operand as the output and swaps the factors, and
-    # complex multiplication is not commutative in the last bit
-    for k in range(len(cost)):
-        phase = cost[k].take(problem.energy_index, axis=1)
-        amps = amps * phase
-        for step, index in zip(eigen.steps, eigen.eigen_index):
-            amps = change_basis(amps, step, eigen.shapes)
-            phase = mix[k].take(index, axis=1)
-            amps = amps * phase
-        amps = change_basis(amps, eigen.steps[-1], eigen.shapes)
+    amps = np.repeat(problem.start[None, :], len(betas), axis=0)
+    span = max(1, STACK_BYTES // (amps.nbytes * (1 + len(eigen.eigen_index))))
+    # every phase is a view of a gathered array, never a bare temporary:
+    # numpy reuses a large temporary operand as the output and swaps the
+    # factors, and complex multiplication is not commutative in the last bit
+    for at in range(0, len(cost), span):
+        cost_phases = cost[at:at + span].take(problem.energy_index, axis=2)
+        mix_phases = [mix[at:at + span].take(index, axis=2) for index in eigen.eigen_index]
+        for k in range(len(cost_phases)):
+            amps = amps * cost_phases[k]
+            for step, phases in zip(eigen.steps, mix_phases):
+                amps = change_basis(amps, step, eigen.shapes)
+                amps = amps * phases[k]
+            amps = change_basis(amps, eigen.steps[-1], eigen.shapes)
     return amps
 
 
 def evaluation_bytes(problem: Problem, p: int) -> int:
     """Working set of one row of a level-p `run_schedule` stack, in bytes:
     the state and its three temporaries, and its p layers of cost and mixer
-    phases over the distinct values."""
+    phases over the distinct values.  (The phases gathered out to the basis
+    take at most `STACK_BYTES` more, or one layer's worth.)"""
     values = len(problem.energy_levels) + len(problem.mixer.eigenbasis.eigenvalues)
     return 16 * (4 * len(problem.start) + p * values)
 
@@ -435,30 +465,33 @@ def optimize(
     The first descent starts from the given schedule; any budget left after
     it converges funds further descents from seeded random starts, which
     keeps one bad warm-start basin from being inherited level after level.
-    SLSQP's forward-difference gradients take `fd_step` steps; the 2p probe
-    points of each gradient run through `run_schedule` as one stack (in
-    chunks of at most `STACK_BYTES` of working set), and each counts as one
-    evaluation, in order, exactly as if run one at a time.  Losses are
-    scored on the mixer's basis.  Returns the best schedule seen (the input
-    counts as evaluation zero, so a zero budget returns it unchanged), its
-    final dense state from `reference_state` and its loss; raises
-    RuntimeError if that state's expected energy differs from the
-    evaluator's by more than `REFERENCE_ATOL`.
+    Angles stay `[betas | gammas]` arrays throughout, and every stack of
+    them runs through `run_schedule` (in chunks of at most `STACK_BYTES` of
+    working set).  SLSQP gets its gradient from `jac`, scipy's 2-point
+    scheme with an absolute step: the 2p forward-difference probes run as
+    one stack, each step `fd_step`, flipped backward where the forward step
+    leaves the box, against the loss of the last point `fun` evaluated (the
+    gradient's point is evaluated first if it is not that one).  Every probe
+    counts as one evaluation, in order, so the path is the one scipy's own
+    finite differences take one probe at a time.  Losses are scored on the
+    mixer's basis.  Returns the best schedule seen (the input counts as
+    evaluation zero, so a zero budget returns it unchanged), its final
+    dense state from `reference_state` and its loss; raises RuntimeError if
+    that state's expected energy differs from the evaluator's by more than
+    `REFERENCE_ATOL`.
     """
     p = schedule.p
     clipped = clip_schedule(schedule)
     x0 = np.array(clipped.betas + clipped.gammas)
     bounds = [BETA_BOUNDS] * p + [GAMMA_BOUNDS] * p
+    lo, hi = np.array(bounds).T
     rng = np.random.default_rng(seed)
     per_stack = max(1, STACK_BYTES // evaluation_bytes(problem, p))
 
-    def schedule_at(x: np.ndarray) -> ParameterSchedule:
-        return ParameterSchedule(tuple(x[:p]), tuple(x[p:]))
-
-    def losses_at(xs: list[np.ndarray]) -> list[float]:
+    def losses_at(xs: np.ndarray) -> list[float]:
         out = []
         for at in range(0, len(xs), per_stack):
-            stack = run_schedule(problem, [schedule_at(x) for x in xs[at:at + per_stack]])
+            stack = run_schedule(problem, xs[at:at + per_stack])
             if config.loss_mode == "exact":
                 out += [
                     _expected_loss(probs, problem.basis_energies, config.optimizer_dropoff)
@@ -470,11 +503,11 @@ def optimize(
                     out.append(loss(drawn, problem.ising, config.optimizer_dropoff))
         return out
 
-    evals: list[tuple[float, np.ndarray]] = [(losses_at([x0])[0], x0)]
+    evals: list[tuple[float, np.ndarray]] = [(losses_at(x0[None])[0], x0)]
 
-    def evaluate(xs: list[np.ndarray]) -> list[float]:
-        """Record each point's loss in order, stopping at the first point
-        past the budget."""
+    def evaluate(xs: np.ndarray) -> list[float]:
+        """Record each row's loss in order, stopping at the first row past
+        the budget."""
         room = max(config.max_evaluations + 1 - len(evals), 0)
         vals = losses_at(xs[:room])
         evals.extend(zip(vals, xs))
@@ -482,22 +515,30 @@ def optimize(
             raise _BudgetExhausted
         return vals
 
+    last_x, last_loss = None, 0.0  # the point `fun` last evaluated, and its loss
+
     def fun(x: np.ndarray) -> float:
-        return evaluate([x.copy()])[0]
+        nonlocal last_x, last_loss
+        if last_x is None or not np.array_equal(x, last_x):
+            last_x = x.copy()
+            last_loss = evaluate(last_x[None])[0]
+        return last_loss
 
-    def gradient_probes(_fun, points) -> list[float]:
-        # SLSQP's `workers` map: stands in for map(_fun, points)
-        return evaluate([np.array(x, dtype=float) for x in points])
+    def jac(x: np.ndarray) -> np.ndarray:
+        f0 = fun(x)
+        step = np.where(x + config.fd_step > hi, -config.fd_step, config.fd_step)
+        moved = x + step
+        probes = np.repeat(x[None], 2 * p, axis=0)
+        np.fill_diagonal(probes, moved)
+        return (np.array(evaluate(probes)) - f0) / (moved - x)
 
-    lo = np.array([BETA_BOUNDS[0]] * p + [GAMMA_BOUNDS[0]] * p)
-    hi = np.array([BETA_BOUNDS[1]] * p + [GAMMA_BOUNDS[1]] * p)
     start = x0
     while len(evals) <= config.max_evaluations:
+        last_x = None  # each descent evaluates its start, as scipy's own would
         try:
             minimize(
-                fun, start, method="SLSQP", bounds=bounds,
-                options={"maxiter": 500, "eps": config.fd_step, "ftol": 1e-8,
-                         "workers": gradient_probes},
+                fun, start, method="SLSQP", jac=jac, bounds=bounds,
+                options={"maxiter": 500, "ftol": 1e-8},
             )
         except _BudgetExhausted:
             break
@@ -506,10 +547,11 @@ def optimize(
         _, anchor = min(evals, key=lambda t: t[0])
         start = np.clip(anchor + rng.normal(0.0, _RESTART_JITTER, 2 * p), lo, hi)
     best_val, best_x = min(evals, key=lambda t: t[0])
-    best = schedule_at(best_x)
+    best = ParameterSchedule(tuple(best_x[:p]), tuple(best_x[p:]))
     state = reference_state(problem, best)
     expected = float(state.probabilities() @ problem.cost.diagonal)
-    evaluated = float(np.abs(_evolve(problem, [best])[0]) ** 2 @ problem.basis_energies)
+    betas, gammas = best_x[None, :p], best_x[None, p:] / problem.phase_scale
+    evaluated = float(np.abs(_evolve(problem, betas, gammas)[0]) ** 2 @ problem.basis_energies)
     if not abs(expected - evaluated) <= REFERENCE_ATOL:
         raise RuntimeError(
             f"the schedule evaluator gives expected energy {evaluated!r}, "

@@ -490,6 +490,20 @@ def test_cli_exit_code_input_error(tmp_path):
     assert main(["stems", str(bad)]) == 1
 
 
+def test_cli_rejects_a_config_without_a_usable_fd_step(tmp_path, monkeypatch):
+    config = io_.load_config().snapshot()
+    config["qaoa"]["fd_step"] = 0
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    solved = []
+    monkeypatch.setattr("rnaqaoa.cli.solve", lambda *a, **k: solved.append(a))
+    out = tmp_path / "out.json"
+    argv = ["solve", str(_write_hairpin(tmp_path)), "--method", "qaoa-x",
+            "--config", str(path), "--out", str(out)]
+    assert main(argv) == 1
+    assert not solved and not out.exists()
+
+
 def test_cli_exit_code_bad_flag():
     assert main(["solve", "--method", "nonsense", "x.fasta"]) == 1
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize as scipy_minimize
+from scipy.optimize._numdiff import approx_derivative
 
 import rnaqaoa.qaoa as qaoa_mod
 import rnaqaoa.simulator as sim_mod
@@ -86,6 +87,20 @@ def test_loss_falls_back_when_everything_is_rare():
     assert loss(samples, ising, 0.5) == pytest.approx(0.0)
 
 
+def test_expected_loss_keeps_the_masked_values_without_the_mask():
+    rng = np.random.default_rng(4)
+    probs, energies = rng.dirichlet(np.ones(64)), rng.normal(size=64)
+    every = probs >= 0.0  # the drop-off rule at zero keeps every entry
+    masked = float(probs[every] @ energies[every] / probs[every].sum())
+    assert qaoa_mod._expected_loss(probs, energies, 0.0) == masked
+    kept = probs >= 0.02
+    assert 0 < kept.sum() < len(probs)
+    assert qaoa_mod._expected_loss(probs, energies, 0.02) == pytest.approx(
+        probs[kept] @ energies[kept] / probs[kept].sum()
+    )
+    assert qaoa_mod._expected_loss(probs, energies, 1.0) == float(probs @ energies)
+
+
 # ---------------------------------------------------------------------------
 # interpolation
 
@@ -144,6 +159,19 @@ def test_clip_schedule_enforces_bounds():
 def test_schedule_validation():
     with pytest.raises(ValueError):
         ParameterSchedule((0.1,), (0.2, 0.3))
+
+
+@pytest.mark.parametrize(
+    "fd_step",
+    [0.0, -1e-3, 10.0, math.nextafter(math.pi / 2, 2.0), 1e-17, math.ulp(2 * math.pi) / 2, math.nan],
+)
+def test_config_rejects_a_step_the_gradient_cannot_take(fd_step):
+    # not positive, too wide for a one-sided step in the beta box, or lost
+    # to rounding next to the gamma bound
+    with pytest.raises(ValueError, match="fd_step"):
+        QaoaConfig(fd_step=fd_step)
+    for fine in (math.pi / 2, math.ulp(2 * math.pi), 1e-3):
+        assert QaoaConfig(fd_step=fine).fd_step == fine
 
 
 # ---------------------------------------------------------------------------
@@ -292,16 +320,17 @@ def test_optimize_sampled_mode_runs_and_is_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# batched finite-difference gradients
+# stacked forward-difference gradients against scipy's own
 
 
-def _without_workers(monkeypatch):
-    """Make SLSQP evaluate every gradient probe alone, through `fun`."""
-    def sequential(*args, options, **kwargs):
-        options = {k: v for k, v in options.items() if k != "workers"}
-        return scipy_minimize(*args, options=options, **kwargs)
+def _scipy_finite_differences(monkeypatch, fd_step):
+    """Make SLSQP take scipy's 2-point gradient with the absolute step
+    `fd_step`, every probe run alone through `fun`: the oracle of the `jac`
+    that `optimize` passes."""
+    def scipy_gradients(*args, jac, options, **kwargs):
+        return scipy_minimize(*args, options={**options, "eps": fd_step}, **kwargs)
 
-    monkeypatch.setattr(qaoa_mod, "minimize", sequential)
+    monkeypatch.setattr(qaoa_mod, "minimize", scipy_gradients)
 
 
 def _recording(monkeypatch, name):
@@ -329,19 +358,17 @@ def _spy_on_batches(monkeypatch):
             log["largest"] = max(log["largest"], len(schedule))
         return run(problem, schedule)
 
-    def spying(*args, options, **kwargs):
-        probes = options["workers"]
-
-        def spy(fun, points):
-            points = list(points)
+    def spying(*args, jac, **kwargs):
+        def spy(x):
             before = len(losses)
             try:
-                return probes(fun, points)
+                return jac(x)
             except qaoa_mod._BudgetExhausted:
-                log["cut"].append((len(points), len(losses) - before))
+                # counts the gradient's own point too when it was evaluated
+                log["cut"].append((len(x), len(losses) - before))
                 raise
 
-        return scipy_minimize(*args, options={**options, "workers": spy}, **kwargs)
+        return scipy_minimize(*args, jac=spy, **kwargs)
 
     monkeypatch.setattr(qaoa_mod, "run_schedule", recording_run)
     monkeypatch.setattr(qaoa_mod, "minimize", spying)
@@ -355,9 +382,9 @@ def test_batched_gradients_reproduce_sequential_solves(suite, warmups, mixer, mo
     with monkeypatch.context() as m:
         log = _spy_on_batches(m)
         batched = [solve(stems, QuboParams(), cfg, warmup=warmups[mixer]) for stems in instances]
-    # some levels ran out of budget partway through a gradient
-    assert any(0 < done < probes for probes, done in log["cut"])
-    _without_workers(monkeypatch)
+    # some levels ran out of budget partway through a gradient's probes
+    assert any(1 < done < probes for probes, done in log["cut"])
+    _scipy_finite_differences(monkeypatch, cfg.fd_step)
     sequential = [solve(stems, QuboParams(), cfg, warmup=warmups[mixer]) for stems in instances]
     assert [repr(r) for r in batched] == [repr(r) for r in sequential]
 
@@ -382,7 +409,7 @@ def test_batched_sampled_loss_draws_in_evaluation_order(suite, monkeypatch):
     for batched in (True, False):
         with monkeypatch.context() as m:
             if not batched:
-                _without_workers(m)
+                _scipy_finite_differences(m, cfg.fd_step)
             losses = _recording(m, "loss")
             runs.append((optimize(problem, start, cfg, seed=3), losses))
     (a, a_losses), (b, b_losses) = runs
@@ -390,6 +417,88 @@ def test_batched_sampled_loss_draws_in_evaluation_order(suite, monkeypatch):
     assert a_losses == b_losses
     assert a[0] == b[0] and a[2] == b[2]
     assert np.array_equal(a[1].amplitudes, b[1].amplitudes)
+
+
+@functools.cache
+def _gradient_problem(mixer):
+    return build_problem(load_benchmark("suite")[8], QuboParams(), mixer)
+
+
+def _optimizer_closures(problem, p, cfg):
+    """The `fun` and `jac` that `optimize` hands SLSQP, stopped before its
+    first descent runs."""
+    seen = {}
+
+    def capture(fun, x0, *, jac, **kwargs):
+        seen.update(fun=fun, jac=jac)
+        raise qaoa_mod._BudgetExhausted
+
+    start = ParameterSchedule((0.5,) * p, (0.5,) * p)
+    original, qaoa_mod.minimize = qaoa_mod.minimize, capture
+    try:
+        optimize(problem, start, cfg)
+    finally:
+        qaoa_mod.minimize = original
+    return seen["fun"], seen["jac"]
+
+
+@st.composite
+def _box_points(draw):
+    """Angles with coordinates on both bounds, just inside them, and between."""
+    p = draw(st.integers(1, 4))
+    coords = []
+    for lo, hi in [BETA_BOUNDS] * p + [GAMMA_BOUNDS] * p:
+        near = draw(st.sampled_from([lo, hi, np.nextafter(hi, lo), hi - 1e-4, lo + 1e-4]))
+        coords.append(draw(st.one_of(st.just(near), st.floats(lo, hi))))
+    return np.array(coords)
+
+
+@given(
+    mixer=st.sampled_from(["x", "parity_xy"]),
+    x=_box_points(),
+    fd_step=st.sampled_from([1e-3, 1e-7, math.ulp(2 * math.pi), qaoa_mod.FD_STEP_MAX]),
+)
+@settings(max_examples=60, deadline=None)
+def test_jac_equals_scipy_two_point_derivative(mixer, x, fd_step):
+    p = len(x) // 2
+    cfg = QaoaConfig(fd_step=fd_step, max_evaluations=10**6)
+    fun, jac = _optimizer_closures(_gradient_problem(mixer), p, cfg)
+    lo, hi = np.array([BETA_BOUNDS] * p + [GAMMA_BOUNDS] * p).T
+    gradient = jac(x.copy())
+    expected = approx_derivative(
+        fun, x, method="2-point", abs_step=fd_step, bounds=(lo, hi), f0=fun(x)
+    )
+    assert gradient.tobytes() == expected.tobytes()
+
+
+def test_optimize_runs_one_run_schedule_call_per_stack(monkeypatch):
+    """perfbench counts circuit evaluations by the `qaoa.run_schedule`
+    binding: every stack `optimize` scores goes through it once."""
+    problem = _gradient_problem("parity_xy")
+    start = ParameterSchedule((0.3, 0.2), (0.5, 0.7))
+    budget, probes = 120, 4
+    rows, gradients = [], []
+    run = qaoa_mod.run_schedule
+
+    def counted_run(problem, schedule):
+        rows.append(len(schedule))
+        return run(problem, schedule)
+
+    def counting(*args, jac, **kwargs):
+        def counted(x):
+            g = jac(x)
+            gradients.append(g)
+            return g
+
+        return scipy_minimize(*args, jac=counted, **kwargs)
+
+    monkeypatch.setattr(qaoa_mod, "run_schedule", counted_run)
+    monkeypatch.setattr(qaoa_mod, "minimize", counting)
+    optimize(problem, start, QaoaConfig(max_evaluations=budget), seed=0)
+    assert sum(rows) == budget + 1  # every evaluation, each once
+    # one call per point and one per whole gradient stack; the last may be cut
+    assert set(rows[:-1]) == {1, probes}
+    assert rows.count(probes) == len(gradients) > 0
 
 
 @pytest.mark.parametrize("budget", [0, 1, 7, 40])
@@ -409,6 +518,11 @@ def test_run_schedule_stack_rows_equal_single_runs():
         assert np.array_equal(row, run_schedule(problem, schedule).amplitudes)
     with pytest.raises(ValueError, match="equal level"):
         run_schedule(problem, [schedules[0], ParameterSchedule((0.1,), (0.2,))])
+    angles = np.array([s.betas + s.gammas for s in schedules])
+    assert np.array_equal(run_schedule(problem, angles).amplitudes, stack.amplitudes)
+    for bad in (angles[:, :3], angles[:0], angles[0]):
+        with pytest.raises(ValueError, match=r"shape \(B, 2p\)"):
+            run_schedule(problem, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +679,15 @@ def test_run_schedule_checks_the_state_a_non_unitary_layer_leaves(mixer, monkeyp
         run_schedule(problem, schedule)
     with pytest.raises(ValueError, match="not normalized"):
         run_schedule(problem, [schedule, schedule])
+    with pytest.raises(ValueError, match="not normalized"):
+        run_schedule(problem, np.array([schedule.betas + schedule.gammas] * 2))
+    # single points pass, so the first gradient's probe stack is what fails
+    monkeypatch.setattr(
+        qaoa_mod, "change_basis",
+        lambda amps, *rest: change_basis(amps, *rest) * (1.01 if len(amps) > 1 else 1.0),
+    )
+    with pytest.raises(ValueError, match="not normalized"):
+        optimize(problem, schedule, QaoaConfig(), seed=0)
 
 
 # ---------------------------------------------------------------------------
