@@ -405,10 +405,10 @@ def _scalar_column(values: list):
 def _records_text(rows: list, indent: str):
     """Text of a list of dicts with one set of str keys and scalar values, or None."""
     first = rows[0]
-    if type(first) is not dict or not first or not all(type(k) is str for k in first):
+    if type(first) is not dict or not first or set(map(type, first)) != {str}:
         return None
     keys = first.keys()
-    if not all(type(row) is dict and row.keys() == keys for row in rows):
+    if set(map(type, rows)) != {dict} or not all(map(keys.__eq__, map(dict.keys, rows))):
         return None
     order = sorted(keys)
     columns = [_scalar_column(list(map(itemgetter(k), rows))) for k in order]

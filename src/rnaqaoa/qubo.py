@@ -13,13 +13,15 @@ i.e. a selected stem (bit 1) has z = -1.
 
 `penalty` broadcasts like the relations it reads: `build_qubo` scores one
 row block of stems against all stems per call (`rna.row_blocks`) and keeps
-the nonzero couplings above the diagonal.
+the nonzero couplings above the diagonal, as the arrays of a `Couplings`
+mapping.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,9 +32,12 @@ from .rna import Domain, StemSet, pairs_cross, row_blocks, stems_overlap
 #: Hard cap for exhaustive enumeration and dense simulation alike.
 MAX_QUBITS = 24
 
-#: Bytes one coupling takes in `QuboModel.quadratic`: the dict slot, the
-#: key tuple with its two ints and the value (tracemalloc: 195 B per entry
-#: of a 225,113-entry dict).
+#: Bytes one coupling takes in `QuboModel.quadratic` as a dict: the dict
+#: slot, the key tuple with its two ints and the value (tracemalloc: 195 B
+#: per entry of a 225,113-entry dict).  `build_qubo` keeps its couplings
+#: as arrays (about 25 B each), but this and MAX_QUADRATIC_BYTES stay
+#: sized for the dict, because iterating or indexing the mapping, or
+#: `dict(model.quadratic)`, still materialises it.
 COUPLING_BYTES = 200
 
 #: Largest `quadratic` dict `build_qubo` may have to hold when every stem
@@ -65,22 +70,82 @@ class QuboParams:
             raise ValueError("c_p must lie in [-1, 1]")
 
 
-def _entries_valid(quadratic: dict, n: int) -> bool:
+class Couplings(Mapping):
+    """Couplings held as arrays, read as the dict `{(i, j): value}`.
+
+    Entry t has key (i[t], j[t]) and value value[t], as an int where
+    is_int[t] and as the array's scalar type elsewhere.  Iterating keys or
+    items builds the tuples and values from `tolist()` columns; indexing
+    (and `in`, `values()`) builds the dict once and reads it.  `len` reads
+    the arrays, and the mapping equals a dict with the same items.  The
+    arrays are read-only.
+    """
+
+    __slots__ = ("i", "j", "value", "is_int", "_dict")
+
+    def __init__(self, i: np.ndarray, j: np.ndarray, value: np.ndarray, is_int: np.ndarray):
+        for column in (i, j, value, is_int):
+            column.flags.writeable = False
+        self.i, self.j, self.value, self.is_int = i, j, value, is_int
+        self._dict = None
+
+    def columns(self, order=None) -> tuple[list, list, list]:
+        """Keys' i and j and the values as lists, in `order` if given."""
+        i, j, value, is_int = (self.i, self.j, self.value, self.is_int)
+        if order is not None:
+            i, j, value, is_int = i[order], j[order], value[order], is_int[order]
+        values = value.astype(object)
+        values[is_int] = value[is_int].astype(np.int64).astype(object)
+        return i.tolist(), j.tolist(), values.tolist()
+
+    def _as_dict(self) -> dict:
+        if self._dict is None:
+            self._dict = dict(self.items())
+        return self._dict
+
+    def __len__(self) -> int:
+        return len(self.i)
+
+    def __iter__(self):
+        return zip(self.i.tolist(), self.j.tolist())
+
+    def __getitem__(self, key):
+        return self._as_dict()[key]
+
+    def items(self):
+        return _CouplingItems(self)
+
+    def __repr__(self) -> str:
+        return f"Couplings({dict(self.items())!r})"
+
+
+class _CouplingItems(ItemsView):
+    def __iter__(self):
+        i, j, values = self._mapping.columns()
+        return zip(zip(i, j), values)
+
+
+def _entries_valid(quadratic: Mapping, n: int) -> bool:
     """The per-entry checks of `QuboModel.quadratic` as array operations.
 
     True only when every key is a pair of integers with 0 <= j < i < n and
-    every value is finite.  False, also when the entries cannot be read as
-    such, leaves the verdict and its message to the per-entry loop.
+    every value is finite.  `Couplings` are checked on their arrays, other
+    mappings on arrays read from their items.  False, also when the
+    entries cannot be read as such, leaves the verdict and its message to
+    the per-entry loop.
     """
     try:
-        if set(map(len, quadratic)) - {2}:
-            return False
-        flat = map(operator.index, itertools.chain.from_iterable(quadratic))
-        keys = np.fromiter(flat, dtype=np.int64, count=2 * len(quadratic))
-        finite = np.isfinite(np.array(list(quadratic.values())))
+        if isinstance(quadratic, Couplings):
+            i, j, value = quadratic.i, quadratic.j, quadratic.value
+        else:
+            if set(map(len, quadratic)) - {2}:
+                return False
+            flat = map(operator.index, itertools.chain.from_iterable(quadratic))
+            keys = np.fromiter(flat, dtype=np.int64, count=2 * len(quadratic))
+            i, j, value = keys[0::2], keys[1::2], np.array(list(quadratic.values()))
+        finite = np.isfinite(value)
     except (TypeError, ValueError, OverflowError):
         return False
-    i, j = keys[0::2], keys[1::2]
     return bool(((0 <= j) & (j < i) & (i < n) & finite).all())
 
 
@@ -89,12 +154,13 @@ class QuboModel:
     """Coefficients of the selection objective.
 
     linear[i] multiplies x_i; quadratic[(i, j)] with j < i multiplies
-    x_i * x_j; offset is added unconditionally.
+    x_i * x_j; offset is added unconditionally.  `quadratic` is a dict or
+    a `Couplings` (what `build_qubo` gives); both are checked the same way.
     """
 
     n: int
     linear: tuple[float, ...]
-    quadratic: dict[tuple[int, int], float] = field(default_factory=dict)
+    quadratic: Mapping[tuple[int, int], float] = field(default_factory=dict)
     offset: float = 0.0
 
     def __post_init__(self):
@@ -178,10 +244,11 @@ def build_qubo(stems: StemSet, params: QuboParams = QuboParams()) -> QuboModel:
     """Assemble objective coefficients for a stem set.
 
     `penalty` scores each row block of stems j against the stems i after
-    it.  The nonzero couplings go into `quadratic` under keys (i, j) with
-    j < i, ordered by j and then i: overlap couplings as the ints
-    -(k_i + k_j), crossing ones as floats.  Refuses, before any pair is
-    scored, stem sets whose pairs could need more than MAX_QUADRATIC_BYTES.
+    it.  The nonzero couplings become `quadratic`, a `Couplings` under keys
+    (i, j) with j < i, ordered by j and then i: overlap couplings as the
+    ints -(k_i + k_j), crossing ones as floats.  Refuses, before any pair
+    is scored, stem sets whose pairs could need more than
+    MAX_QUADRATIC_BYTES.
     """
     n = len(stems)
     pairs = n * (n - 1) // 2
@@ -196,20 +263,19 @@ def build_qubo(stems: StemSet, params: QuboParams = QuboParams()) -> QuboModel:
         2.0 * s.k - n_seq / (2.0 * s.k + params.epsilon) for s in stems
     )
     block = stems.block()
-    quadratic: dict[tuple[int, int], float] = {}
+    # an empty int column joins any value dtype unchanged, and stands for n = 0
+    empty = np.zeros(0, dtype=np.int64)
+    parts = [(empty, empty, empty, empty.astype(bool))]
     for lo, hi in row_blocks(n):
         rows, cols = block[lo:hi, None], block[lo:]
         values = penalty(rows, cols, params)
         # keep i > j: column c of the block is stem lo + c
         above = np.arange(n - lo) > np.arange(hi - lo)[:, None]
         r, c = np.nonzero(above & (values != 0.0))
-        kept = values[r, c].tolist()
-        ints = (-(rows.k[r, 0] + cols.k[c])).tolist()
-        overlap = stems_overlap(rows[r, 0], cols[c]).tolist()
-        keys = zip((c + lo).tolist(), (r + lo).tolist())
-        quadratic.update(
-            zip(keys, [w if o else v for w, o, v in zip(ints, overlap, kept)])
-        )
+        overlap = stems_overlap(rows[r, 0], cols[c])
+        value = np.where(overlap, -(rows.k[r, 0] + cols.k[c]), values[r, c])
+        parts.append((c + lo, r + lo, value, overlap))
+    quadratic = Couplings(*map(np.concatenate, zip(*parts)))
     return QuboModel(n=n, linear=linear, quadratic=quadratic)
 
 
@@ -334,22 +400,28 @@ def brute_force_solve(
 
 
 def model_to_dict(model: QuboModel, labels: list[str] | None = None) -> dict:
-    """JSON-friendly export of the model coefficients and qubit labels."""
+    """JSON-friendly export of the model coefficients and qubit labels.
+
+    The couplings come ordered by key (i, then j), one record each.
+    """
     if labels is None:
         labels = [f"x{i}" for i in range(model.n)]
     if len(labels) != model.n:
         raise ValueError("label count mismatch")
-    items = list(model.quadratic.items())
-    # the keys are unique pairs, so ordering them orders the items
-    keys = np.array([key for key, _ in items], dtype=np.int64).reshape(-1, 2)
-    order = np.lexsort((keys[:, 1], keys[:, 0])).tolist()
+    q = model.quadratic
+    # the keys are unique pairs, so ordering them orders the entries
+    if isinstance(q, Couplings):
+        entries = zip(*q.columns(np.lexsort((q.j, q.i))))
+    else:
+        items = list(q.items())
+        keys = np.array([key for key, _ in items], dtype=np.int64).reshape(-1, 2)
+        order = np.lexsort((keys[:, 1], keys[:, 0])).tolist()
+        entries = ((i, j, v) for (i, j), v in map(items.__getitem__, order))
     return {
         "n": model.n,
         "variables": list(labels),
         "linear": list(model.linear),
-        "quadratic": [
-            {"i": i, "j": j, "value": v} for (i, j), v in (items[k] for k in order)
-        ],
+        "quadratic": [{"i": i, "j": j, "value": v} for i, j, v in entries],
         "offset": model.offset,
     }
 

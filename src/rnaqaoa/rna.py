@@ -30,6 +30,8 @@ for sequence positions.  Numpy matrices are 0-based internally.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,16 +153,29 @@ def can_pair(a: str, b: str) -> bool:
     return a in _CODES and b in _CODES and bool(_PAIR_TABLE[_CODES[a], _CODES[b]])
 
 
+def _codes(seq: Sequence) -> np.ndarray:
+    """Base codes of a sequence, entry p - 1 holding base p's."""
+    return np.array([_CODES[b] for b in seq.bases], dtype=np.intp)
+
+
+def _ranks(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., c - 1 for each count c in turn."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
 def pairing_matrix(seq: Sequence, min_loop: int = DEFAULT_MIN_LOOP) -> np.ndarray:
     """Boolean matrix of admissible base pairs.
 
     Entry [i-1, j-1] is True iff bases i and j can pair and are separated by
     more than `min_loop` positions.  Symmetric with a zero diagonal.
     """
-    codes = np.array([_CODES[b] for b in seq.bases], dtype=np.intp)
+    codes = _codes(seq)
     pos = np.arange(len(codes))
     band = np.abs(pos[:, None] - pos[None, :]) > min_loop
     return _PAIR_TABLE[codes[:, None], codes[None, :]] & band
+
+
+_IJK = operator.attrgetter("i", "j", "k")
 
 
 @dataclass(frozen=True)
@@ -168,18 +183,38 @@ class StemSet:
     """Stems of one sequence in canonical order (ascending i, then j).
 
     Construction validates bounds, uniqueness and that every constituent
-    pair is admissible for the parent sequence.
+    pair is admissible for the parent sequence, as array operations over
+    the stems' i, j and k; the per-stem loop runs only to name the first
+    offending stem.
     """
 
     sequence: Sequence
     stems: tuple[Stem, ...]
 
     def __post_init__(self):
-        ordered = tuple(sorted(self.stems, key=lambda s: (s.i, s.j)))
+        stems = tuple(self.stems)
+        try:
+            flat = map(operator.index, itertools.chain.from_iterable(map(_IJK, stems)))
+            ijk = np.fromiter(flat, dtype=np.int64, count=3 * len(stems)).reshape(-1, 3)
+        except (TypeError, ValueError, OverflowError):
+            ordered = tuple(sorted(stems, key=lambda s: (s.i, s.j)))
+            ijk = None
+        else:
+            order = np.lexsort((ijk[:, 1], ijk[:, 0]))  # stable, like `sorted`
+            ordered = tuple(map(stems.__getitem__, order.tolist()))
+            ijk = ijk[order]
         object.__setattr__(self, "stems", ordered)
+        if ijk is None or not _stems_valid(ijk, _codes(self.sequence)):
+            self._check_each()  # raises on the first offending stem
+            ijk = np.array(list(map(_IJK, ordered)), dtype=np.int64).reshape(-1, 3)
+        ijk.flags.writeable = False
+        object.__setattr__(self, "_ijk", ijk)
+
+    def _check_each(self):
+        """The checks stem by stem, in order: raises on the first offender."""
         seen = set()
         n = len(self.sequence)
-        for s in ordered:
+        for s in self.stems:
             if s in seen:
                 raise ValueError(f"duplicate stem {s}")
             seen.add(s)
@@ -199,9 +234,27 @@ class StemSet:
         return self.stems[idx]
 
     def block(self) -> StemBlock:
-        """The stems' i, j and k as 1-D int64 arrays, in canonical order."""
-        ijk = np.array([(s.i, s.j, s.k) for s in self.stems], dtype=np.int64).reshape(-1, 3)
-        return StemBlock(*ijk.T)
+        """The stems' i, j and k as read-only 1-D int64 arrays, in canonical order."""
+        return StemBlock(*self._ijk.T)
+
+
+def _stems_valid(ijk: np.ndarray, codes: np.ndarray) -> bool:
+    """`StemSet`'s checks over (i, j, k) rows of valid `Stem`s, as array operations.
+
+    True iff no row repeats, every j is within the sequence of base codes
+    `codes` and every constituent pair is admissible.
+    """
+    if not len(ijk):
+        return True
+    i, j, k = ijk.T
+    if j.max() > len(codes):
+        return False
+    rows = ijk[np.lexsort((k, j, i))]
+    if (rows[1:] == rows[:-1]).all(axis=1).any():
+        return False
+    t = _ranks(k)
+    five, three = np.repeat(i, k) + t, np.repeat(j, k) - t
+    return bool(_PAIR_TABLE[codes[five - 1], codes[three - 1]].all())
 
 
 def enumerate_stems(
@@ -218,35 +271,36 @@ def enumerate_stems(
     which shrinks the variable count at the cost of resolution (useful to
     fit large sequences into a qubit budget).
 
-    Each matrix cell is visited a bounded number of times, so the scan is
-    quadratic in the sequence length.
+    The stems are read from run lengths: the admissible cells (i, j), i < j,
+    are grouped by anti-diagonal i + j, and each cell gets the length L of
+    the run from it inward, (i, j), (i+1, j-1), ...  A maximal stem is a
+    run start with L >= min_len; with all runs every cell yields the
+    lengths min_len..L.  Cells come row by row, so the stems come in
+    canonical order, shorter before longer at one (i, j).
     """
     if min_len < 1:
         raise ValueError("min_len must be >= 1")
     if min_loop < 0:
         raise ValueError("min_loop must be >= 0")
-    n = len(seq)
-    mat = pairing_matrix(seq, min_loop)
-
-    def hit(i: int, j: int) -> bool:
-        return 1 <= i < j <= n and mat[i - 1, j - 1]
-
-    found: list[Stem] = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if not hit(i, j) or hit(i - 1, j + 1):
-                continue  # not the start of a run
-            k = 0
-            while hit(i + k, j - k):
-                k += 1
-            if maximal_only:
-                if k >= min_len:
-                    found.append(Stem(i, j, k))
-            else:
-                for a in range(k):
-                    for b in range(a + min_len - 1, k):
-                        found.append(Stem(i + a, j - a, b - a + 1))
-    return StemSet(seq, tuple(found))
+    a, b = np.nonzero(np.triu(pairing_matrix(seq, min_loop), 1))  # 0-based, row by row
+    diagonal = a + b
+    order = np.argsort(diagonal, kind="stable")  # by anti-diagonal, then by a
+    d, r = diagonal[order], a[order]
+    start = np.ones(len(order), dtype=bool)
+    start[1:] = (d[1:] != d[:-1]) | (r[1:] != r[:-1] + 1)
+    firsts = np.flatnonzero(start)
+    ends = np.append(firsts[1:], len(order))  # one past each run's last cell
+    length = np.empty(len(order), dtype=np.int64)
+    length[order] = ends[np.cumsum(start) - 1] - np.arange(len(order))
+    keep = length >= min_len
+    if maximal_only:
+        keep[order] &= start
+        i, j, k = a[keep] + 1, b[keep] + 1, length[keep]
+    else:
+        counts = length[keep] - min_len + 1
+        i, j = np.repeat(a[keep] + 1, counts), np.repeat(b[keep] + 1, counts)
+        k = min_len + _ranks(counts)
+    return StemSet(seq, tuple(map(Stem, i.tolist(), j.tolist(), k.tolist())))
 
 
 def stems_overlap(s1, s2):
@@ -326,18 +380,25 @@ def partition_domains(stems: StemSet) -> list[Domain]:
     are assigned after the stem qubits, one per domain in scan order.
 
     The scan reads rows of the overlap relation, computed per row block
-    against the stems from the current domain's first member on.
+    against the stems from the current domain's first member on.  A block
+    of r rows starting b stems after that member scans b + r columns, so
+    it takes the most rows with r(b + r) <= BLOCK_CELLS (one row at least).
     """
     n = len(stems)
     block = stems.block()
     starts = [0] if n else []
-    for lo, hi in row_blocks(n):
+    lo = 0
+    while lo < n:
         first = starts[-1]
+        back = lo - first
+        rows = max(1, (math.isqrt(back * back + 4 * BLOCK_CELLS) - back) // 2)
+        hi = min(lo + rows, n)
         overlap = stems_overlap(block[lo:hi, None], block[first:hi])
         for idx in range(lo, hi):
             start = starts[-1]
             if not overlap[idx - lo, start - first : idx - first].all():
                 starts.append(idx)
+        lo = hi
     bounds = starts + [n]
     return [
         Domain(members=tuple(range(a, b)), dummy_index=n + d)

@@ -100,7 +100,7 @@ class QuantumState:
             raise ResourceLimitError(f"{n} qubits exceed the dense limit of {MAX_QUBITS}")
         rows = amps.view(float).reshape(-1, 1, 2 * size)  # real, imag interleaved
         for total in (rows @ rows.transpose(0, 2, 1)).ravel().tolist():
-            if abs(total - 1.0) > 1e-9:
+            if not abs(total - 1.0) <= 1e-9:  # a NaN total fails too
                 raise ValueError(f"state is not normalized: sum |a|^2 = {total}")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "n_qubits", n)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import time
+from collections import OrderedDict
 from importlib.resources import files
 
 import jsonschema
@@ -547,6 +548,16 @@ def test_cli_refuses_800nt_all_runs_within_seconds(tmp_path, capsys, argv, messa
     assert message in capsys.readouterr().err
 
 
+def test_cli_stems_finishes_1600nt_all_runs_within_seconds(tmp_path, capsys):
+    fasta = tmp_path / "long.fasta"
+    fasta.write_text(f">long\n{random_sequence(np.random.default_rng(0), 1600).bases}\n")
+    start = time.perf_counter()
+    assert main(["stems", str(fasta)]) == 0
+    assert time.perf_counter() - start < 10.0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["results"][0]["n_stems"] == len(doc["results"][0]["stems"]) > 100_000
+
+
 #: sha256 of the stems and qubo documents on the packaged benchmark FASTA
 #: (written as benchmark.fasta in the working directory, timestamp pinned),
 #: computed with the per-pair build_qubo and json.dumps writer they replace.
@@ -636,6 +647,9 @@ _json_values = st.recursive(
 @example({1: "a", 2.5: "b"})
 @example({True: 1, None: 2})
 @example({"a": 1, 2: 3})
+@example([{"a": 1, "b": 2.5}, {"b": None, "a": "x"}])  # one key set, another order
+@example([{"a": 1}, OrderedDict(a=2)])
+@example([OrderedDict(a=2), {"a": 1}])
 @settings(max_examples=300)
 def test_write_json_matches_json_dumps(obj):
     _assert_same_as_json_dumps(obj)
@@ -655,6 +669,38 @@ def test_write_json_raises_as_json_dumps_on_unsupported_types(obj):
     with pytest.raises(TypeError):
         io_.write_json(obj)
     _assert_same_as_json_dumps(obj)
+
+
+def _records_accepted_by_the_row_loop(rows):
+    """`_records_text`'s row checks as they were written with a generator per row."""
+    first = rows[0]
+    if type(first) is not dict or not first or not all(type(k) is str for k in first):
+        return False
+    keys = first.keys()
+    return all(type(row) is dict and row.keys() == keys for row in rows)
+
+
+@pytest.mark.parametrize("rows", [
+    [{"a": 1}],
+    [{"a": 1}, {"a": 2.5}],
+    [{"a": 1, "b": 2}, {"b": 3, "a": 4}],
+    [{"a": 1}, {"b": 2}],
+    [{"a": 1}, {"a": 1, "b": 2}],
+    [{"a": 1, "b": 2}, {"a": 1}],
+    [{}],
+    [{"a": 1}, {}],
+    [{1: 2}],
+    [{"a": 1, 1: 2}],
+    [{"a": 1}, {"a": 1, 1: 2}],
+    [OrderedDict(a=1)],
+    [{"a": 1}, OrderedDict(a=1)],
+    [{"a": 1}, [1]],
+    [{"a": 1}, None],
+    [{"a": 1}, "a"],
+])
+def test_records_text_accepts_and_rejects_as_the_row_loop(rows):
+    assert (io_._records_text(rows, "\n") is not None) == _records_accepted_by_the_row_loop(rows)
+    _assert_same_as_json_dumps(rows)
 
 
 def test_write_json_detects_circular_references_and_allows_shared_ones():

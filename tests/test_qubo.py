@@ -151,6 +151,21 @@ def test_build_qubo_entries_equal_the_per_pair_loop(monkeypatch, length, maximal
         assert all(type(i) is int and type(j) is int for (i, j), _ in got)
     assert any(type(v) is float for _, v in whole[0.3])
     assert any(type(v) is int for _, v in whole[0.3])
+    # the mapping reads as the dict of the per-pair loop
+    quadratic = build_qubo(stems, QuboParams(c_p=0.3)).quadratic
+    want = _reference_quadratic(stems, 0.3)
+    assert isinstance(quadratic, qubo_mod.Couplings)
+    assert len(quadratic) == len(want) > 0
+    assert quadratic == want and want == quadratic and not quadratic != want
+    assert quadratic != {**want, (1, 0): 0.5} and quadratic != {}
+    for key in itertools.islice(want, 0, None, 7):
+        assert key in quadratic
+        assert quadratic[key] == want[key] and type(quadratic[key]) is type(want[key])
+    missing = (len(stems), 0)
+    assert missing not in quadratic and (0, 1) not in quadratic
+    with pytest.raises(KeyError):
+        quadratic[missing]
+    assert list(quadratic) == list(want) and list(quadratic.values()) == list(want.values())
 
 
 def test_build_qubo_calls_penalty_once_per_block(monkeypatch):
@@ -219,6 +234,43 @@ def test_qubo_model_checks_accept_and_reject_as_the_per_entry_loop(quadratic):
     want = _outcome(lambda: _loop_check(quadratic, 3))
     got = _outcome(lambda: QuboModel(n=3, linear=(0.0,) * 3, quadratic=dict(quadratic)))
     assert got == want
+
+
+def _couplings(entries, is_int=None):
+    i, j, value = (np.array(column) for column in zip(*entries)) if entries else ([],) * 3
+    i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
+    value = np.asarray(value, dtype=float)
+    return qubo_mod.Couplings(i, j, value, np.zeros(len(i), bool) if is_int is None else np.array(is_int))
+
+
+@pytest.mark.parametrize("entries", [
+    [],
+    [(1, 0, -6.0), (2, 1, 0.5)],
+    [(2, 2, 1.0)],
+    [(1, 2, 1.0)],
+    [(3, 0, 1.0)],
+    [(1, -1, 1.0)],
+    [(1, 0, float("nan"))],
+    [(1, 0, float("inf"))],
+    [(2, 0, -float("inf")), (1, 5, 1.0)],
+    [(1, 5, 1.0), (2, 0, float("nan"))],
+    [(2, 1, 1.0), (1, 0, float("nan")), (0, 0, 1.0)],
+])
+def test_qubo_model_checks_couplings_as_the_per_entry_loop(entries):
+    couplings = _couplings(entries)
+    want = _outcome(lambda: _loop_check(dict(((i, j), v) for i, j, v in entries), 3))
+    got = _outcome(lambda: QuboModel(n=3, linear=(0.0,) * 3, quadratic=couplings))
+    assert got == want
+
+
+def test_couplings_give_ints_where_marked_and_are_read_only():
+    couplings = _couplings([(1, 0, -6.0), (2, 1, 0.5), (2, 0, 3.0)], is_int=[True, False, False])
+    assert list(couplings.items()) == [((1, 0), -6), ((2, 1), 0.5), ((2, 0), 3.0)]
+    assert [type(v) for v in couplings.values()] == [int, float, float]
+    assert couplings.columns(np.array([2, 0])) == ([2, 1], [0, 0], [3.0, -6])
+    with pytest.raises(ValueError):
+        couplings.value[0] = 1.0
+    assert dict(couplings) == {(1, 0): -6, (2, 1): 0.5, (2, 0): 3.0}
 
 
 def test_qubo_model_rejects_bad_keys_and_values():
@@ -417,3 +469,18 @@ def test_model_export_orders_couplings_as_sorted_items(n, seed, density):
     got = model_to_dict(model)["quadratic"]
     assert got == expected
     assert [type(e["value"]) for e in got] == [type(e["value"]) for e in expected]
+
+
+@pytest.mark.parametrize("length, maximal", [(88, False), (120, True)])
+@pytest.mark.parametrize("c_p", [0.0, 0.3, -0.7, 1])
+def test_model_export_of_couplings_equals_that_of_their_dict(length, maximal, c_p):
+    """Records and value types match for `build_qubo`'s arrays and the plain dict."""
+    stems = enumerate_stems(_balanced_sequence(length, length), maximal_only=maximal)
+    model = build_qubo(stems, QuboParams(c_p=c_p))
+    plain = QuboModel(n=model.n, linear=model.linear, quadratic=dict(model.quadratic))
+    assert type(plain.quadratic) is dict and plain == model
+    got, want = model_to_dict(model)["quadratic"], model_to_dict(plain)["quadratic"]
+    assert got == want and len(got) == len(model.quadratic)
+    for g, w in zip(got, want):
+        assert [type(g[k]) for k in ("i", "j", "value")] == [type(w[k]) for k in ("i", "j", "value")]
+    assert {type(r["value"]) for r in got} == ({int} if c_p in (0.0, 1) else {int, float})

@@ -160,6 +160,117 @@ def test_maximal_stems_cannot_be_extended(seq):
         assert not hit(s.i + s.k, s.j - s.k)
 
 
+def _scan_stems(seq, min_len, maximal_only, min_loop):
+    """The per-cell scan: walk each run start of the pairing matrix inward.
+
+    Returns (i, j, k) in canonical order: stably sorted by (i, j).
+    """
+    n = len(seq)
+    mat = pairing_matrix(seq, min_loop)
+
+    def hit(i, j):
+        return 1 <= i < j <= n and mat[i - 1, j - 1]
+
+    found = []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if not hit(i, j) or hit(i - 1, j + 1):
+                continue  # not the start of a run
+            k = 0
+            while hit(i + k, j - k):
+                k += 1
+            if maximal_only:
+                if k >= min_len:
+                    found.append((i, j, k))
+            else:
+                for a in range(k):
+                    for b in range(a + min_len - 1, k):
+                        found.append((i + a, j - a, b - a + 1))
+    return sorted(found, key=lambda s: s[:2])
+
+
+@given(
+    st.one_of(sequences, st.text(alphabet="AC", min_size=1, max_size=12).map(Sequence)),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=4),
+    st.booleans(),
+)
+@example(Sequence("A"), 1, 0, False)
+@example(Sequence("GC"), 1, 0, False)  # a pair of neighbours, admissible at min_loop 0
+@example(Sequence("GUC"), 1, 0, True)
+@example(Sequence("GGGGGGGAAACCCCCCC"), 2, 1, False)  # one run of seven
+@example(Sequence("GCGCGCGCGC"), 1, 0, False)  # runs meet the diagonal
+@example(Sequence("ACACACAC"), 1, 0, False)  # no pairs at all
+@settings(max_examples=300)
+def test_enumerate_stems_matches_the_per_cell_scan(seq, min_len, min_loop, maximal_only):
+    stems = enumerate_stems(seq, min_len=min_len, maximal_only=maximal_only, min_loop=min_loop)
+    assert [(s.i, s.j, s.k) for s in stems] == _scan_stems(seq, min_len, maximal_only, min_loop)
+    assert all(type(s.i) is int and type(s.j) is int and type(s.k) is int for s in stems)
+
+
+def _stemset_loop(sequence, stems):
+    """StemSet's checks as they were written before the array form."""
+    ordered = tuple(sorted(stems, key=lambda s: (s.i, s.j)))
+    seen = set()
+    n = len(sequence)
+    for s in ordered:
+        if s in seen:
+            raise ValueError(f"duplicate stem {s}")
+        seen.add(s)
+        if s.j > n:
+            raise ValueError(f"stem {s} outside sequence of length {n}")
+        for a, b in s.pairs():
+            if not can_pair(sequence.base(a), sequence.base(b)):
+                raise ValueError(f"illegal pair ({a}, {b}) in stem {s}")
+    return ordered
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+
+
+_PKB092_STEMS = tuple(enumerate_stems(Sequence(PKB092)))
+
+
+@pytest.mark.parametrize("bases, stems", [
+    ("CUACGAUAG", ()),
+    ("CUACGAUAG", (Stem(1, 9, 3),)),
+    ("CUACGAUAG", [Stem(2, 8, 2), Stem(1, 9, 3), Stem(1, 9, 1)]),
+    ("CUACGAUAG", (Stem(1, 9, 3), Stem(1, 9, 3))),
+    ("CUACGAUAG", (Stem(1, 9, 3), Stem(1, 9, 2), Stem(1, 9, 3))),
+    ("CUACGAUAG", (Stem(1, 10, 3),)),
+    ("CUACGAUAG", (Stem(1, 9, 3), Stem(2, 12, 1))),
+    ("CUACGAUAG", (Stem(1, 8, 2),)),
+    ("CUACGAUAG", (Stem(1, 9, 2), Stem(1, 9, 4))),  # only the innermost pair is illegal
+    ("CUACGAUAG", (Stem(2, 8, 1), Stem(1, 8, 2), Stem(3, 12, 2))),
+    ("CUACGAUAG", (Stem(3, 12, 2), Stem(1, 8, 2), Stem(1, 8, 2))),
+    ("CUACGAUAG", (Stem(2, 8, 1), Stem(2, 8, 1), Stem(1, 8, 2))),
+    ("CUACGAUAG", (Stem(np.int64(1), np.int64(9), np.int64(3)),)),
+    ("CUACGAUAG", (Stem(1.0, 9.0, 3),)),
+    ("CUACGAUAG", (Stem(True, 9, 3),)),
+    ("CUACGAUAG", (Stem(1, 9, 3), Stem(2, 2**70, 3))),
+    (PKB092, _PKB092_STEMS),
+    (PKB092, _PKB092_STEMS[::-1]),
+    (PKB092, _PKB092_STEMS + _PKB092_STEMS[3:4]),
+    ("A" + PKB092[1:], _PKB092_STEMS),
+    (PKB092[:-1], _PKB092_STEMS),
+])
+def test_stemset_checks_accept_and_reject_as_the_per_stem_loop(bases, stems):
+    sequence = Sequence(bases)
+    want = _outcome(lambda: _stemset_loop(sequence, stems))
+    got = _outcome(lambda: StemSet(sequence, stems).stems)
+    assert got == want
+    if isinstance(got, tuple) and all(isinstance(s, Stem) for s in got):
+        block = StemSet(sequence, stems).block()
+        assert [block.i.tolist(), block.j.tolist(), block.k.tolist()] == [
+            [s.i for s in got], [s.j for s in got], [s.k for s in got]
+        ]
+        assert not block.i.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # relations
 
@@ -331,6 +442,24 @@ def test_domains_with_split_blocks_match_prefix_scan_oracle(monkeypatch, seed, m
     monkeypatch.setattr(rna, "BLOCK_CELLS", 3 * len(stems))  # three rows per block
     assert len(rna.row_blocks(len(stems))) > 1
     assert partition_domains(stems) == whole
+
+
+def test_domain_blocks_scan_from_the_domain_start_within_block_cells(monkeypatch):
+    """Blocks are sized by the columns they scan, not by the stem count."""
+    stems = enumerate_stems(random_sequence(np.random.default_rng(0), 300))
+    whole = partition_domains(stems)
+    cells = []
+    original = rna.stems_overlap
+
+    def counted(rows, cols):
+        out = original(rows, cols)
+        cells.append(out.size)
+        return out
+
+    monkeypatch.setattr(rna, "stems_overlap", counted)
+    assert partition_domains(stems) == whole
+    assert max(cells) <= rna.BLOCK_CELLS
+    assert len(cells) <= len(stems) / 100 < len(rna.row_blocks(len(stems)))
 
 
 def test_row_blocks_cover_every_row_once(monkeypatch):

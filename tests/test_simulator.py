@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import rnaqaoa.simulator as sim_mod
 from rnaqaoa.errors import ResourceLimitError
-from rnaqaoa.qaoa import build_problem, circuit_for_schedule, shipped_warmup
+from rnaqaoa.qaoa import build_problem, circuit_for_schedule, run_schedule, shipped_warmup
 from rnaqaoa.qubo import IsingModel, QuboParams, build_qubo, to_ising
 from rnaqaoa.rna import Domain, Sequence, enumerate_stems, partition_domains
 from rnaqaoa.simulator import (
@@ -65,6 +65,15 @@ def test_init_uniform_norm_at_twelve_qubits():
 def test_quantum_state_requires_normalization():
     with pytest.raises(ValueError, match="not normalized"):
         QuantumState(np.array([1.0, 1.0], dtype=complex))
+
+
+def test_quantum_state_and_run_schedule_reject_nan_amplitudes():
+    with pytest.raises(ValueError, match="not normalized"):
+        QuantumState(np.array([np.nan, 0.0]))
+    hairpin = enumerate_stems(Sequence("CUACGAUAG", id="hairpin"))
+    problem = build_problem(hairpin, QuboParams(), "x")
+    with pytest.raises(ValueError, match="not normalized"):
+        run_schedule(problem, np.array([[np.nan, 0.1]]))
 
 
 def test_quantum_state_checks_every_row_of_a_stack():
