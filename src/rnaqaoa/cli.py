@@ -286,7 +286,7 @@ def cmd_warmup(args) -> int:
     if args.instances:
         instances = [_enumerate(s, cfg) for s in io_.parse_fasta(args.instances)]
     else:
-        instances = load_benchmark("suite")
+        instances = load_benchmark("regular")
     # stem-free sequences have nothing to calibrate, as in the sweeps
     instances = [stems for stems in instances if len(stems)][: args.count]
     if not instances:
@@ -366,7 +366,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("warmup", help="regenerate warm-start schedules")
-    p.add_argument("--instances", help="FASTA file (default: packaged benchmark)")
+    p.add_argument("--instances", help="FASTA file (default: the packaged regular set)")
     p.add_argument("--count", type=int, default=20, help="calibration instances to use")
     p.add_argument("--grid-points", type=int, default=16)
     p.add_argument("--mixer", choices=("x", "parity_xy", "both"), default="both")

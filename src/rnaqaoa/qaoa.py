@@ -16,10 +16,11 @@ evaluator, works over the mixer's basis (the feasible one-hot basis under
 XY) in the mixer's eigenbasis: each layer is a phase multiply per mixer
 group and for the cost, joined by precomputed real basis changes, and a
 stack of schedules (or of `[betas | gammas]` angle rows) runs in one call
-with each row equal to its single run bit for bit.  `reference_state` runs
-the layer functions of `simulator` on the dense initial state; it is the
-reference semantics, and each level's sampled state comes from it, checked
-against the evaluator.
+with each row equal to its single run bit for bit.  The optimizer's losses
+and the warm-up grid (`warmup_parameters`) run on it.  `reference_state`
+runs the layer functions of `simulator` on the dense initial state, one
+layer at a time; it is the reference semantics, and each level's sampled
+state comes from it, checked against the evaluator.
 
 `optimize` keeps the angles as arrays and hands SLSQP its own gradient:
 scipy's 2-point forward differences with the absolute step `fd_step`, its
@@ -172,6 +173,15 @@ def _expected_loss(probs: np.ndarray, energies: np.ndarray, dropoff: float) -> f
     return float(probs @ energies)
 
 
+def _expected_losses(probs: np.ndarray, energies: np.ndarray, dropoff: float) -> np.ndarray:
+    """`_expected_loss` of every row of a (B, D) stack of distributions, to
+    roundoff: a row with no entry at or above `dropoff` keeps them all."""
+    if dropoff > 0.0:
+        mask = probs >= dropoff
+        probs = np.where(mask | ~mask.any(axis=1, keepdims=True), probs, 0.0)
+    return probs @ energies / probs.sum(axis=1)
+
+
 # ---------------------------------------------------------------------------
 # schedule interpolation
 
@@ -229,7 +239,9 @@ def shipped_warmup(mixer: str) -> ParameterSchedule:
     """Level-2 warm-start schedule shipped with the package.
 
     Regenerate with scripts/regenerate_warmup.py (or the `warmup` CLI
-    subcommand) after changing the benchmark set or objective defaults.
+    subcommand, whose defaults calibrate on the same 20 `regular`
+    instances at the same grid) after changing the benchmark set or
+    objective defaults.
     """
     raw = json.loads(files("rnaqaoa").joinpath("data/warmup_defaults.json").read_text())
     entry = raw[mixer]
@@ -577,10 +589,13 @@ def warmup_parameters(
     mean of per-instance grid argmins is a good start for any instance.  The
     gamma grid covers [0, 2*pi] only: the distribution is invariant under
     (beta, gamma) -> (pi - beta, -gamma), so every optimum has a mirror in
-    the non-negative half and averaging across mirrors would cancel.  The
-    last mixer angle's grid runs as one stack of states (chunks of at most
-    `STACK_BYTES`), each row equal to a single-state run, so the first of
-    equal minima still wins.
+    the non-negative half and averaging across mirrors would cancel.  Each
+    grid point is one `[b1, b2 | g1, g2]` row, in (g1, b1, g2, b2) order
+    with b2 fastest, run through `run_schedule` in chunks of at most
+    `STACK_BYTES` of working set and scored on the mixer's basis with
+    `_expected_loss`'s postselection.  Many points of a coarse grid tie to
+    roundoff, so an instance's optimum is the first grid point whose loss is
+    within `DEGENERACY_ATOL` of the minimum.
     """
     if not instances:
         raise ValueError("need at least one calibration instance")
@@ -588,31 +603,20 @@ def warmup_parameters(
         raise ValueError("grid_points must be >= 1")
     betas_axis = np.linspace(BETA_BOUNDS[0], BETA_BOUNDS[1], grid_points)
     gammas_axis = np.linspace(0.0, 2.0 * math.pi, grid_points)
+    g1, b1, g2, b2 = np.meshgrid(gammas_axis, betas_axis, gammas_axis, betas_axis, indexing="ij")
+    grid = np.stack([b1.ravel(), b2.ravel(), g1.ravel(), g2.ravel()], axis=1)
     optima = []
     for stems in instances:
         problem = build_problem(stems, params, mixer_kind)
-        diag = problem.cost.diagonal
-        scale = problem.phase_scale
-        per_stack = max(1, STACK_BYTES // problem.initial.amplitudes.nbytes)
-        best = (math.inf, None)
-        for g1 in gammas_axis:
-            for b1 in betas_axis:
-                mid = apply_mixer(
-                    apply_cost_layer(problem.initial, problem.cost, g1 / scale),
-                    problem.mixer, b1,
-                )
-                for g2 in gammas_axis:
-                    cooled = apply_cost_layer(mid, problem.cost, g2 / scale)
-                    # the b2 axis as stacks, one row per angle, in grid order
-                    for at in range(0, grid_points, per_stack):
-                        b2s = betas_axis[at:at + per_stack]
-                        rows = QuantumState(np.tile(cooled.amplitudes, (len(b2s), 1)))
-                        finals = apply_mixer(rows, problem.mixer, b2s)
-                        for b2, probs in zip(b2s, finals.probabilities()):
-                            val = _expected_loss(probs, diag, dropoff)
-                            if val < best[0]:
-                                best = (val, (b1, b2, g1, g2))
-        optima.append(best[1])
+        per_stack = max(1, STACK_BYTES // evaluation_bytes(problem, 2))
+        losses = np.concatenate([
+            _expected_losses(
+                np.abs(run_schedule(problem, grid[at:at + per_stack]).amplitudes) ** 2,
+                problem.basis_energies, dropoff,
+            )
+            for at in range(0, len(grid), per_stack)
+        ])
+        optima.append(grid[np.flatnonzero(losses <= losses.min() + DEGENERACY_ATOL)[0]])
     arr = np.array(optima)
     return ParameterSchedule(
         betas=(float(arr[:, 0].mean()), float(arr[:, 1].mean())),

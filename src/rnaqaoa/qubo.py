@@ -64,9 +64,9 @@ class QuboParams:
     c_p: float = 0.0
 
     def __post_init__(self):
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:  # NaN fails too
             raise ValueError("epsilon must be nonnegative")
-        if abs(self.c_p) > 1:
+        if not abs(self.c_p) <= 1:
             raise ValueError("c_p must lie in [-1, 1]")
 
 

@@ -3,12 +3,11 @@
 Three execution paths cover different needs:
 
 * Layer operations (`apply_cost_layer`, `apply_x_mixer`,
-  `apply_parity_xy_mixer`) act on whole layers at once on dense 2^n
-  states: the cost layer is a diagonal phase multiply and each XX+YY pair
-  rotation is applied as an exact 4x4 unitary.  They take one state or a
-  stack of states, one per row, so a batch of circuits pays the per-layer
-  Python overhead once.  They are the reference semantics of the noiseless
-  solver: the warm-up grid and each level's sampled state run on them.
+  `apply_parity_xy_mixer`) act on whole layers at once on one dense 2^n
+  state and one angle: the cost layer is a diagonal phase multiply and
+  each XX+YY pair rotation mixes the pair's |01> and |10> amplitudes.
+  They are the reference semantics of the noiseless solver: each level's
+  sampled state runs on them (`qaoa.reference_state`).
 * The mixer's eigenbasis (`MixerSpec.eigenbasis`), which `qaoa.run_schedule`
   uses to evaluate whole schedules.  Each mixer layer is a product of
   groups of commuting pair rotations on disjoint qubits (one group of
@@ -36,7 +35,7 @@ unchecked, because their input was checked and the layers are unitary;
 through the constructor, so every row's norm is still checked once per
 circuit evaluation.  A state may carry a `basis` (a subspace state, as
 `run_schedule` returns under XY); the layer operations, `sample`,
-`run_noisy` and the gate kernel take dense states only.
+`run_noisy` and `simulate_circuit` take one dense state, never a stack.
 
 Bit conventions: qubit 0 is the most significant bit of the basis index, so
 `format(index, f"0{n}b")[q]` is the value of qubit q and reshaping the
@@ -50,7 +49,6 @@ import functools
 import itertools
 import math
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,7 +147,9 @@ class QuantumState:
         return QuantumState(amps)
 
 
-def _require_dense(state: QuantumState, what: str) -> None:
+def _require_one_dense(state: QuantumState, what: str) -> None:
+    if state.stacked:
+        raise ValueError(f"{what} takes one state, not a stack")
     if state.basis is not None:
         raise ValueError(f"{what} takes a dense state, not a subspace state")
 
@@ -223,19 +223,16 @@ class MixerSpec:
     kind "parity_xy": per-domain rings of XX+YY pair rotations applied in
     two sublayers (odd-position pairs, then even-position pairs).  A ring of
     two qubits applies its single pair once.  Computed once here:
-    `xy_pairs`, per pair in application order the strided view onto its
-    |01> and |10> amplitudes within one dense state; `feasible`, the
-    indices of the basis states with exactly one set bit per ring (qubits
-    outside every ring take either value) in the tensor order of the
-    rings' choices, or None under the X mixer, which has no infeasible
-    states; and `eigenbasis`, the layer over that basis (all 2^n states
-    under X) as a `MixerEigenbasis`.
+    `feasible`, the indices of the basis states with exactly one set bit
+    per ring (qubits outside every ring take either value) in the tensor
+    order of the rings' choices, or None under the X mixer, which has no
+    infeasible states; and `eigenbasis`, the layer over that basis (all 2^n
+    states under X) as a `MixerEigenbasis`.
     """
 
     kind: str
     n_qubits: int
     rings: tuple[tuple[int, ...], ...] = ()
-    xy_pairs: tuple = field(init=False, repr=False, compare=False)
     feasible: np.ndarray | None = field(init=False, repr=False, compare=False)
     eigenbasis: MixerEigenbasis = field(init=False, repr=False, compare=False)
 
@@ -262,10 +259,6 @@ class MixerSpec:
                 for ring in self.rings
             ]
             factors += [((0, 1 << (n - 1 - q)), []) for q in range(n) if q not in seen]
-        pairs = tuple(
-            _pair_view(n, a, b)
-            for ring in self.rings for a, b in _parity_ordered_pairs(ring)
-        )
         feasible = None
         if self.kind == "parity_xy":
             feasible = np.zeros(1, dtype=np.int64)
@@ -273,7 +266,6 @@ class MixerSpec:
                 feasible = (feasible[:, None] + np.array(bits, dtype=np.int64)).ravel()
         # the generator of an XX+YY pair is twice the swap of its one-hot states
         scale = 1.0 if self.kind == "x" else 2.0
-        object.__setattr__(self, "xy_pairs", pairs)
         object.__setattr__(self, "feasible", feasible)
         object.__setattr__(self, "eigenbasis", _eigenbasis(factors, scale))
 
@@ -378,21 +370,6 @@ def change_basis(amps: np.ndarray, step: tuple[np.ndarray, ...], shapes) -> np.n
     return amps
 
 
-def _pair_view(n: int, a: int, b: int) -> tuple[tuple, tuple, int]:
-    """Shape, byte strides and byte offset, within one state, of a view onto
-    the two amplitudes of qubits (a, b) that the pair rotation mixes.
-
-    With lo < hi the qubits in index order, the view's axes run over qubits
-    0..lo-1, then over the pair: lo = 0, hi = 1 first and lo = 1, hi = 0
-    second, then over the qubits between lo and hi, then over those after hi.
-    """
-    lo, hi = sorted((a, b))
-    item = np.dtype(complex).itemsize
-    lo_step, hi_step = 2 ** (n - lo - 1) * item, 2 ** (n - hi - 1) * item
-    shape = (2**lo, 2, 2 ** (hi - lo - 1), 2 ** (n - hi - 1))
-    return shape, (2 * lo_step, lo_step - hi_step, 2 * hi_step, item), hi_step
-
-
 @dataclass(frozen=True)
 class NoiseSpec:
     """Two-qubit depolarizing rate plus per-qubit readout flip rates.
@@ -453,58 +430,33 @@ class SampleSet:
 
 
 # ---------------------------------------------------------------------------
-# fast-path layer application
+# layer application
 #
-# Each layer takes one state with one angle, or a stack of B states with B
-# angles (or one angle for all rows).  The angle scalars and phase vectors
-# are computed per row exactly as for a single state, and every array
-# operation acts on each element alone with its operands in a fixed order,
-# so row k of a stacked result equals the single-state result bit for bit.
+# Each layer takes one dense state and one angle.  The one library caller is
+# `qaoa.reference_state`, whose final state is sampled; the arithmetic,
+# operand order included, is fixed so that state is reproducible bit for bit.
 
 
-#: One angle, or one per row of a stack.
-Angles = float | Sequence[float]
-
-
-def _row_angles(state: QuantumState, angle: Angles) -> list[float]:
-    """One angle per row of the state; a single angle serves every row."""
-    angles = [float(angle)] if np.ndim(angle) == 0 else [float(a) for a in angle]
-    rows = len(state.amplitudes) if state.stacked else 1
-    if len(angles) == 1:
-        return angles * rows
-    if len(angles) != rows:
-        raise ValueError(f"{len(angles)} angles for {rows} states")
-    return angles
-
-
-def _per_row(values: list, axes: int) -> np.ndarray:
-    """Complex per-row scalars shaped to broadcast over `axes` trailing axes."""
-    return np.array(values, dtype=complex).reshape((-1,) + (1,) * axes)
-
-
-def apply_cost_layer(state: QuantumState, spec: CostLayerSpec, gamma: Angles) -> QuantumState:
+def apply_cost_layer(state: QuantumState, spec: CostLayerSpec, gamma: float) -> QuantumState:
     """Diagonal phase layer: a_x *= exp(-i * gamma * E(x))."""
-    _require_dense(state, "the cost layer")
-    gammas = np.array(_row_angles(state, gamma))
+    _require_one_dense(state, "the cost layer")
     # Bound to a name, never a bare temporary: numpy reuses a large temporary
     # operand as the output and swaps the factors, and complex multiplication
     # is not commutative in the last bit.
-    phases = np.exp((-1j * gammas)[:, None] * spec.diagonal).reshape(state.amplitudes.shape)
+    phases = np.exp(-1j * float(gamma) * spec.diagonal)
     return QuantumState._unchecked(state.amplitudes * phases, state)
 
 
-def apply_x_mixer(state: QuantumState, beta: Angles) -> QuantumState:
+def apply_x_mixer(state: QuantumState, beta: float) -> QuantumState:
     """exp(i*beta*X) on every qubit."""
-    _require_dense(state, "the X mixer")
-    betas = _row_angles(state, beta)
-    c = _per_row([math.cos(b) for b in betas], 3)
-    s = _per_row([1j * math.sin(b) for b in betas], 3)
+    _require_one_dense(state, "the X mixer")
+    c, s = complex(math.cos(beta)), 1j * math.sin(beta)
     amps = state.amplitudes
     for q in range(state.n):
-        t = amps.reshape(len(betas), 2**q, 2, -1)
+        t = amps.reshape(2**q, 2, -1)
         # |0> -> c|0> + s|1>, |1> -> s|0> + c|1>: the flip pairs each
         # amplitude with its partner on qubit q
-        amps = c * t + s * t[:, :, ::-1]
+        amps = c * t + s * t[:, ::-1]
     return QuantumState._unchecked(amps.reshape(state.amplitudes.shape), state)
 
 
@@ -524,34 +476,31 @@ def _parity_ordered_pairs(ring: tuple[int, ...]) -> list[tuple[int, int]]:
     return odd + even
 
 
-def apply_parity_xy_mixer(state: QuantumState, spec: MixerSpec, beta: Angles) -> QuantumState:
+def apply_parity_xy_mixer(state: QuantumState, spec: MixerSpec, beta: float) -> QuantumState:
     """Parity-partitioned XX+YY layer over each domain ring.
 
     Odd-position neighbour pairs are applied first, then even-position
     pairs; each pair rotation preserves the total excitation number, so the
     per-domain Hamming weight is conserved exactly.  A pair rotation
     exp(i*beta*(XX+YY)) acts only on span{|01>, |10>}, where the generator
-    equals 2X; |00> and |11> are untouched.  Each pair rotation updates all
-    2^n amplitudes in place through a strided view.
+    equals 2X; |00> and |11> are untouched.
     """
     if spec.kind != "parity_xy":
         raise ValueError("mixer spec is not parity_xy")
-    _require_dense(state, "the XY mixer")
-    betas = _row_angles(state, beta)
-    c = _per_row([math.cos(2 * b) for b in betas], 4)
-    s = _per_row([1j * math.sin(2 * b) for b in betas], 4)
+    _require_one_dense(state, "the XY mixer")
+    c, s = complex(math.cos(2 * beta)), 1j * math.sin(2 * beta)
     amps = state.amplitudes.copy()
-    rows = amps.reshape(len(betas), -1)
-    # each pair's two mixed amplitudes; the flip pairs each with its partner
-    for shape, strides, offset in spec.xy_pairs:
-        pair = np.ndarray(
-            (len(rows),) + shape, complex, rows, offset, (rows.strides[0],) + strides
-        )
-        pair[...] = c * pair + s * pair[:, :, ::-1]
+    for ring in spec.rings:
+        for a, b in _parity_ordered_pairs(ring):
+            lo, hi = sorted((a, b))
+            t = amps.reshape(2**lo, 2, 2 ** (hi - lo - 1), 2, -1)
+            # (lo, hi) = |01> and |10>: each pairs with the other
+            one, other = t[:, 0, :, 1], t[:, 1, :, 0]
+            one[...], other[...] = c * one + s * other, c * other + s * one
     return QuantumState._unchecked(amps, state)
 
 
-def apply_mixer(state: QuantumState, spec: MixerSpec, beta: Angles) -> QuantumState:
+def apply_mixer(state: QuantumState, spec: MixerSpec, beta: float) -> QuantumState:
     if spec.kind == "x":
         return apply_x_mixer(state, beta)
     return apply_parity_xy_mixer(state, spec, beta)
@@ -736,7 +685,7 @@ def simulate_circuit(
 ) -> QuantumState:
     """Execute a primitive gate list on |0...0> (or `initial`)."""
     state = initial if initial is not None else zero_state(n_qubits)
-    _require_dense(state, "the gate kernel")
+    _require_one_dense(state, "the gate kernel")
     amps = state.amplitudes.reshape(1, 2**n_qubits).copy()
     for op in ops:
         _apply_op(amps, op)
@@ -777,9 +726,7 @@ def sample(state: QuantumState, shots: int, seed: int) -> SampleSet:
     """Multinomial draw from the measurement distribution, seeded."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    if state.stacked:
-        raise ValueError("sample takes one state, not a stack")
-    _require_dense(state, "sample")
+    _require_one_dense(state, "sample")
     rng = np.random.default_rng(seed)
     idx = _draw_outcomes(state.probabilities(), shots, rng)
     return _counts_to_sampleset(idx, state.n, shots)
@@ -837,7 +784,7 @@ def run_noisy(
     p2 = noise.two_qubit_error
     if ideal is None:
         ideal = simulate_circuit(ops, n_qubits)
-    _require_dense(ideal, "run_noisy")
+    _require_one_dense(ideal, "run_noisy")
     probs0 = ideal.probabilities()
     two_q = [t for t, op in enumerate(ops) if op.is_two_qubit]
 

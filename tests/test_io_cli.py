@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from rnaqaoa import io as io_
 from rnaqaoa.cli import main
 from rnaqaoa.errors import InputError
-from rnaqaoa.instances import load_sequences, random_sequence
+from rnaqaoa.instances import load_benchmark, load_sequences, random_sequence
+from rnaqaoa.qaoa import ParameterSchedule
 from rnaqaoa.rna import Sequence
 
 PKB092 = "AAAGUCGCUGAAGACUUAAAAUUCAGG"
@@ -339,6 +340,15 @@ def test_cli_bad_stem_seed_and_warmup_flags_fail_before_any_work(tmp_path, monke
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["qubo", "{fasta}", "--epsilon", "nan"],
+    ["qubo", "{fasta}", "--cp", "nan"],
+])
+def test_cli_nan_objective_flags_exit_1(tmp_path, argv):
+    fasta = str(_write_hairpin(tmp_path))
+    assert main([a.format(fasta=fasta) for a in argv]) == 1
+
+
 def _count_oracle_calls(monkeypatch) -> list:
     import rnaqaoa.qaoa as qaoa_mod
 
@@ -469,6 +479,21 @@ def test_cli_warmup_skips_stem_free_sequences(tmp_path, monkeypatch):
                  "--grid-points", "2", "--out-config", str(out_cfg)]) == 0
     assert seen == [["hairpin"]]
     assert io_.load_config(out_cfg).warmup["x"].p == 2
+
+
+def test_cli_warmup_calibrates_on_the_shipped_instances_by_default(tmp_path, monkeypatch):
+    from rnaqaoa import cli
+
+    seen = []
+
+    def recording(instances, *args, grid_points, **kwargs):
+        seen.append(([stems.sequence.id for stems in instances], grid_points))
+        return ParameterSchedule((0.0, 0.0), (0.0, 0.0))
+
+    monkeypatch.setattr(cli, "warmup_parameters", recording)
+    assert main(["warmup", "--mixer", "x", "--out-config", str(tmp_path / "warm.json")]) == 0
+    # the set scripts/regenerate_warmup.py calibrates the shipped schedules on
+    assert seen == [([stems.sequence.id for stems in load_benchmark("regular")[:20]], 16)]
 
 
 def test_cli_warmup_without_any_stems_is_an_input_error(tmp_path, monkeypatch, capsys):

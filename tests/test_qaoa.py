@@ -203,23 +203,25 @@ def test_warmup_rejects_empty_grid():
 
 
 def _warmup_grid_loop(instances, mixer, grid_points):
-    """Slow reference for `warmup_parameters`: every grid point run alone."""
+    """Slow reference for `warmup_parameters`: every grid point run alone
+    through the dense layers; the first point within `DEGENERACY_ATOL` of the
+    lowest loss wins."""
     betas = np.linspace(BETA_BOUNDS[0], BETA_BOUNDS[1], grid_points)
     gammas = np.linspace(0.0, 2.0 * math.pi, grid_points)
     optima = []
     for stems in instances:
         problem = build_problem(stems, QuboParams(), mixer)
         scale = problem.phase_scale
-        best = (math.inf, None)
+        points, losses = [], []
         for g1, b1, g2, b2 in itertools.product(gammas, betas, gammas, betas):
             state = apply_cost_layer(problem.initial, problem.cost, g1 / scale)
             state = apply_mixer(state, problem.mixer, b1)
             state = apply_cost_layer(state, problem.cost, g2 / scale)
             state = apply_mixer(state, problem.mixer, b2)
-            val = qaoa_mod._expected_loss(state.probabilities(), problem.cost.diagonal, 0.0)
-            if val < best[0]:  # the first of equal minima wins
-                best = (val, (b1, b2, g1, g2))
-        optima.append(best[1])
+            points.append((b1, b2, g1, g2))
+            losses.append(qaoa_mod._expected_loss(state.probabilities(), problem.cost.diagonal, 0.0))
+        low = min(losses)
+        optima.append(next(pt for pt, val in zip(points, losses) if val <= low + DEGENERACY_ATOL))
     arr = np.array(optima)
     return ParameterSchedule(
         betas=(float(arr[:, 0].mean()), float(arr[:, 1].mean())),
@@ -228,14 +230,27 @@ def _warmup_grid_loop(instances, mixer, grid_points):
 
 
 @pytest.mark.parametrize("mixer", ["x", "parity_xy"])
-def test_warmup_grid_stacks_equal_the_point_by_point_loop(suite, mixer, monkeypatch):
+@pytest.mark.parametrize("grid", [3, 4])
+def test_warmup_grid_stacks_equal_the_point_by_point_loop(suite, grid, mixer, monkeypatch):
     instances = [suite[0], suite[18]]  # 3 and 7 qubits (x), 5 and 10 (parity_xy)
-    expected = _warmup_grid_loop(instances, mixer, 4)
-    assert warmup_parameters(instances, QuboParams(), mixer, grid_points=4) == expected
-    # stacks of three rows on the larger instance: its beta_2 axis splits 3 + 1
-    largest = max(16 * 2**build_problem(s, QuboParams(), mixer).n_qubits for s in instances)
-    monkeypatch.setattr(qaoa_mod, "STACK_BYTES", 3 * largest)
-    assert warmup_parameters(instances, QuboParams(), mixer, grid_points=4) == expected
+    expected = _warmup_grid_loop(instances, mixer, grid)
+    assert warmup_parameters(instances, QuboParams(), mixer, grid_points=grid) == expected
+    # chunks of seven rows on the larger instance: the grid runs in 12 (grid 3)
+    # or 37 (grid 4) chunks
+    row = max(
+        qaoa_mod.evaluation_bytes(build_problem(s, QuboParams(), mixer), 2) for s in instances
+    )
+    monkeypatch.setattr(qaoa_mod, "STACK_BYTES", 7 * row)
+    assert warmup_parameters(instances, QuboParams(), mixer, grid_points=grid) == expected
+
+
+def test_warmup_takes_the_first_of_tied_grid_points(suite):
+    """At grid 3 every mixer angle is 0, pi/2 or pi, a permutation of the
+    basis up to phases, so every grid point gives the initial distribution
+    and ties to roundoff: the first point, all angles 0, wins everywhere."""
+    for mixer in ("x", "parity_xy"):
+        schedule = warmup_parameters(list(suite), QuboParams(), mixer, grid_points=3)
+        assert schedule == ParameterSchedule((0.0, 0.0), (0.0, 0.0))
 
 
 def test_shipped_warmup_loads_for_both_mixers():
@@ -543,13 +558,10 @@ def _ring_violations(problem):
 
 
 def _dense_run(problem, schedules):
-    """The schedules' layers through the dense kernels, one row each."""
-    state = QuantumState(np.tile(problem.initial.amplitudes, (len(schedules), 1)))
-    for k in range(schedules[0].p):
-        gammas = [problem.effective_gammas(s)[k] for s in schedules]
-        state = apply_cost_layer(state, problem.cost, gammas)
-        state = apply_parity_xy_mixer(state, problem.mixer, [s.betas[k] for s in schedules])
-    return state
+    """The schedules through the dense layer kernels, one row each."""
+    return QuantumState(
+        np.array([qaoa_mod.reference_state(problem, s).amplitudes for s in schedules])
+    )
 
 
 def test_feasible_basis_is_the_product_of_one_hot_choices():

@@ -20,6 +20,7 @@ from rnaqaoa.simulator import (
     QuantumState,
     SampleSet,
     apply_cost_layer,
+    apply_mixer,
     apply_parity_xy_mixer,
     apply_x_mixer,
     circuit_to_dicts,
@@ -296,51 +297,6 @@ def test_x_mixer_matches_decomposed_circuit():
     assert np.allclose(fast.amplitudes, slow.amplitudes, atol=1e-11)
 
 
-def _random_stack(n, rows, seed):
-    rng = np.random.default_rng(seed)
-    amps = rng.normal(size=(rows, 2**n)) + 1j * rng.normal(size=(rows, 2**n))
-    return QuantumState(amps / np.linalg.norm(amps, axis=1, keepdims=True))
-
-
-def _ring_mixer(n):
-    """Rings of three qubits over the register, the last one two or three long."""
-    starts = list(range(0, n - 1, 3))
-    rings = tuple(tuple(range(a, min(a + 3, n))) for a in starts[:-1])
-    rings += (tuple(range(starts[-1], n)),)
-    return MixerSpec("parity_xy", n, rings)
-
-
-@pytest.mark.parametrize("rows", [1, 16])
-@pytest.mark.parametrize("n", [3, 6, 11])
-@pytest.mark.parametrize("layer", ["cost", "x", "parity_xy"])
-def test_stacked_layer_rows_equal_single_state_calls(layer, n, rows):
-    # 16 rows at 11 qubits take 512 KiB, past numpy's size for reusing
-    # temporaries as outputs, which swaps the factors of a product
-    rng = np.random.default_rng(n * 100 + rows)
-    stack = _random_stack(n, rows, seed=n + rows)
-    angles = rng.uniform(-7.0, 7.0, rows).tolist()
-    spec = CostLayerSpec(ising=None, diagonal=rng.normal(size=2**n) * 10.0)
-    mixer = _ring_mixer(n)
-    apply = {
-        "cost": lambda state, a: apply_cost_layer(state, spec, a),
-        "x": apply_x_mixer,
-        "parity_xy": lambda state, a: apply_parity_xy_mixer(state, mixer, a),
-    }[layer]
-    out = apply(stack, angles)
-    assert out.amplitudes.shape == (rows, 2**n)
-    for k in range(rows):
-        single = apply(QuantumState(stack.amplitudes[k]), angles[k])
-        assert np.array_equal(out.amplitudes[k], single.amplitudes)
-
-
-def test_stacked_layer_takes_one_angle_for_all_rows_or_one_per_row():
-    stack = _random_stack(3, 4, seed=9)
-    same = apply_x_mixer(stack, 0.3)
-    assert np.array_equal(same.amplitudes, apply_x_mixer(stack, [0.3] * 4).amplitudes)
-    with pytest.raises(ValueError, match="3 angles for 4 states"):
-        apply_x_mixer(stack, [0.1, 0.2, 0.3])
-
-
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -356,9 +312,19 @@ def test_sample_uniform_concentration():
         assert count / 10**6 == pytest.approx(0.25, abs=0.002)
 
 
-def test_sample_refuses_a_stack():
-    with pytest.raises(ValueError, match="not a stack"):
-        sample(_random_stack(2, 2, seed=0), 10, 0)
+@pytest.mark.parametrize("operation", ["sample", "cost", "x", "parity_xy", "mixer"])
+def test_single_state_operations_refuse_a_stack(operation):
+    stack = QuantumState(np.full((2, 4), 0.5, dtype=complex))
+    ring = MixerSpec("parity_xy", 2, ((0, 1),))
+    apply = {
+        "sample": lambda: sample(stack, 10, 0),
+        "cost": lambda: apply_cost_layer(stack, CostLayerSpec(None, np.arange(4.0)), 0.3),
+        "x": lambda: apply_x_mixer(stack, 0.3),
+        "parity_xy": lambda: apply_parity_xy_mixer(stack, ring, 0.3),
+        "mixer": lambda: apply_mixer(stack, MixerSpec.x_mixer(2), 0.3),
+    }[operation]
+    with pytest.raises(ValueError, match="takes one state, not a stack"):
+        apply()
 
 
 def test_sample_deterministic():
