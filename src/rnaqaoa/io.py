@@ -24,7 +24,7 @@ from . import __version__
 from .errors import InputError
 from .evaluation import ReferenceStructure, ScoreReport
 from .qaoa import ParameterSchedule, QaoaConfig, QaoaResult
-from .qubo import QuboParams
+from .qubo import CouplingRecords, QuboParams
 from .rna import (
     DEFAULT_MIN_LOOP,
     DEFAULT_MIN_STEM,
@@ -402,6 +402,20 @@ def _scalar_column(values: list):
     return [_SCALAR_TEXT[type(v)](v) for v in values]
 
 
+def _records_join(keys, columns, indent: str) -> str:
+    """Text of records with the sorted str `keys`, one per row of `columns`.
+
+    Each column holds one key's items for `%s`, as `_scalar_column` gives
+    them; every record is written through one %-template.
+    """
+    inner = indent + "  "
+    field = inner + "  "
+    heads = [encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys]
+    template = "{" + field + ("," + field).join(heads) + inner + "}"
+    body = ("," + inner).join(map(template.__mod__, zip(*columns)))
+    return "[" + inner + body + indent + "]"
+
+
 def _records_text(rows: list, indent: str):
     """Text of a list of dicts with one set of str keys and scalar values, or None."""
     first = rows[0]
@@ -414,12 +428,20 @@ def _records_text(rows: list, indent: str):
     columns = [_scalar_column(list(map(itemgetter(k), rows))) for k in order]
     if any(column is None for column in columns):
         return None
-    inner = indent + "  "
-    field = inner + "  "
-    heads = [encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in order]
-    template = "{" + field + ("," + field).join(heads) + inner + "}"
-    body = ("," + inner).join([template % row for row in zip(*columns)])
-    return "[" + inner + body + indent + "]"
+    return _records_join(order, columns, indent)
+
+
+def _coupling_records_text(records: CouplingRecords, indent: str):
+    """Text of the records, or None when a column has a value that is not
+    of an exact scalar type.  `exact` columns are their own items."""
+    if not records:
+        return "[]"
+    columns = records.columns
+    if not records.exact:
+        columns = list(map(_scalar_column, columns))
+        if any(column is None for column in columns):
+            return None
+    return _records_join(records.KEYS, columns, indent)
 
 
 def _write(o, indent: str, out: list, open_ids: set) -> None:
@@ -429,11 +451,19 @@ def _write(o, indent: str, out: list, open_ids: set) -> None:
     are tested in the order `json` tests them, with the same texts and
     errors, exact scalar types first.  A list of scalars is joined at once,
     and a list of records (dicts with the same str keys and scalar values)
-    goes through one %-template, column by column.
+    goes through one %-template, column by column.  `CouplingRecords`
+    (by exact type) go through that template straight from their columns,
+    and are written as the list of their records otherwise.
     """
     text = _SCALAR_TEXT.get(type(o))
     if text is not None:
         out.append(text(o))
+    elif type(o) is CouplingRecords:
+        text = _coupling_records_text(o, indent)
+        if text is None:
+            _write(list(o), indent, out, open_ids)
+        else:
+            out.append(text)
     elif isinstance(o, str):
         out.append(encode_basestring_ascii(o))
     elif isinstance(o, int):
@@ -476,8 +506,10 @@ def _write(o, indent: str, out: list, open_ids: set) -> None:
 def write_json(obj: dict, path=None) -> str:
     """Serialize with sorted keys so equal documents are byte-identical.
 
-    The text is exactly `json.dumps(obj, indent=2, sort_keys=True) + "\n"`,
-    written without the standard library's generator per node.
+    The text is exactly `json.dumps(obj, indent=2, sort_keys=True) + "\n"`
+    of the document with every `CouplingRecords` in it materialised as the
+    list of its records (`json.dumps` itself refuses that type), written
+    without the standard library's generator per node.
     """
     out: list[str] = []
     _write(obj, "\n", out, set())

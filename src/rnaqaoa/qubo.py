@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections.abc import ItemsView, Mapping
+from collections.abc import ItemsView, Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,9 +35,12 @@ MAX_QUBITS = 24
 #: Bytes one coupling takes in `QuboModel.quadratic` as a dict: the dict
 #: slot, the key tuple with its two ints and the value (tracemalloc: 195 B
 #: per entry of a 225,113-entry dict).  `build_qubo` keeps its couplings
-#: as arrays (about 25 B each), but this and MAX_QUADRATIC_BYTES stay
-#: sized for the dict, because iterating or indexing the mapping, or
-#: `dict(model.quadratic)`, still materialises it.
+#: as arrays (about 25 B each), and `model_to_dict` exports them from the
+#: arrays, but this and MAX_QUADRATIC_BYTES stay sized for the dict,
+#: because these paths still materialise it or iterate the key tuples:
+#: indexing and `in` on `Couplings`, `to_ising`, `ising_diagonal`,
+#: `qubo_diagonal`, `QuboModel.evaluate`, `ising_energy` and
+#: `qaoa.gate_count_report`.
 COUPLING_BYTES = 200
 
 #: Largest `quadratic` dict `build_qubo` may have to hold when every stem
@@ -123,6 +126,46 @@ class _CouplingItems(ItemsView):
     def __iter__(self):
         i, j, values = self._mapping.columns()
         return zip(zip(i, j), values)
+
+
+class CouplingRecords(Sequence):
+    """The couplings table of `model_to_dict`, held as three columns.
+
+    Reads as the list of records `{"i": i, "j": j, "value": value}`, one
+    per row of the columns `i`, `j` and `value`: it indexes, iterates and
+    compares equal like that list, building each record only when read.
+    `exact` is True when the columns are known to hold only exact ints and
+    finite floats, so `io.write_json` writes them without checking each
+    value.  The columns are tuples, so the records are read-only.
+    """
+
+    KEYS = ("i", "j", "value")
+    __slots__ = ("columns", "exact")
+
+    def __init__(self, i, j, value, exact: bool = False):
+        self.columns = (tuple(i), tuple(j), tuple(value))
+        self.exact = exact
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return CouplingRecords(*(c[index] for c in self.columns), exact=self.exact)
+        return dict(zip(self.KEYS, (c[index] for c in self.columns)))
+
+    def __iter__(self):
+        return map(dict, map(zip, itertools.repeat(self.KEYS), zip(*self.columns)))
+
+    def __eq__(self, other):
+        if isinstance(other, (list, CouplingRecords)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"CouplingRecords({list(self)!r})"
 
 
 def _entries_valid(quadratic: Mapping, n: int) -> bool:
@@ -402,7 +445,10 @@ def brute_force_solve(
 def model_to_dict(model: QuboModel, labels: list[str] | None = None) -> dict:
     """JSON-friendly export of the model coefficients and qubit labels.
 
-    The couplings come ordered by key (i, then j), one record each.
+    The couplings come ordered by key (i, then j), one record each, as
+    `CouplingRecords`: the columns of `Couplings` sorted at once, or the
+    sorted items of a plain dict.  Only the first are `exact`, from their
+    arrays' dtypes and one finiteness test.
     """
     if labels is None:
         labels = [f"x{i}" for i in range(model.n)]
@@ -411,17 +457,20 @@ def model_to_dict(model: QuboModel, labels: list[str] | None = None) -> dict:
     q = model.quadratic
     # the keys are unique pairs, so ordering them orders the entries
     if isinstance(q, Couplings):
-        entries = zip(*q.columns(np.lexsort((q.j, q.i))))
+        exact = (
+            {q.i.dtype.kind, q.j.dtype.kind} <= {"i", "u"}
+            and q.value.dtype.kind in "iuf"
+            and bool(np.isfinite(q.value).all())
+        )
+        records = CouplingRecords(*q.columns(np.lexsort((q.j, q.i))), exact=exact)
     else:
-        items = list(q.items())
-        keys = np.array([key for key, _ in items], dtype=np.int64).reshape(-1, 2)
-        order = np.lexsort((keys[:, 1], keys[:, 0])).tolist()
-        entries = ((i, j, v) for (i, j), v in map(items.__getitem__, order))
+        rows = [(i, j, v) for (i, j), v in sorted(q.items())]
+        records = CouplingRecords(*(zip(*rows) if rows else ((), (), ())))
     return {
         "n": model.n,
         "variables": list(labels),
         "linear": list(model.linear),
-        "quadratic": [{"i": i, "j": j, "value": v} for i, j, v in entries],
+        "quadratic": records,
         "offset": model.offset,
     }
 

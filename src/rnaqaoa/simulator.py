@@ -97,9 +97,13 @@ class QuantumState:
         if n > MAX_QUBITS:
             raise ResourceLimitError(f"{n} qubits exceed the dense limit of {MAX_QUBITS}")
         rows = amps.view(float).reshape(-1, 1, 2 * size)  # real, imag interleaved
-        for total in (rows @ rows.transpose(0, 2, 1)).ravel().tolist():
-            if not abs(total - 1.0) <= 1e-9:  # a NaN total fails too
-                raise ValueError(f"state is not normalized: sum |a|^2 = {total}")
+        totals = (rows @ rows.transpose(0, 2, 1)).ravel()
+        # one row compares its scalar: cheaper than the ufuncs, and most
+        # states (line-search points) are one row
+        worst = abs(totals.item() - 1.0) if len(totals) == 1 else abs(totals - 1.0).max()
+        if not worst <= 1e-9:  # a NaN total fails too, and max keeps NaN
+            first = np.flatnonzero(~(abs(totals - 1.0) <= 1e-9))[0]
+            raise ValueError(f"state is not normalized: sum |a|^2 = {totals[first].item()}")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "n_qubits", n)
 

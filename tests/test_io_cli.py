@@ -598,8 +598,8 @@ GOLDEN_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("argv", list(GOLDEN_DIGESTS))
-def test_stems_and_qubo_documents_match_golden_digests(tmp_path, monkeypatch, argv):
+def _cli_document_digest(tmp_path, monkeypatch, argv) -> str:
+    """sha256 of the document `argv` writes for the packaged benchmark FASTA."""
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv(io_.CONFIG_ENV_VAR, raising=False)
     monkeypatch.setenv(io_.TIMESTAMP_ENV_VAR, "2026-01-01T00:00:00+00:00")
@@ -614,8 +614,35 @@ def test_stems_and_qubo_documents_match_golden_digests(tmp_path, monkeypatch, ar
         else:
             flags.append(arg)
     assert main([argv[0], "benchmark.fasta", *flags, "--out", "doc.json"]) == 0
-    digest = hashlib.sha256((tmp_path / "doc.json").read_bytes()).hexdigest()
-    assert digest == GOLDEN_DIGESTS[argv]
+    return hashlib.sha256((tmp_path / "doc.json").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_DIGESTS))
+def test_stems_and_qubo_documents_match_golden_digests(tmp_path, monkeypatch, argv):
+    assert _cli_document_digest(tmp_path, monkeypatch, argv) == GOLDEN_DIGESTS[argv]
+
+
+def test_qubo_couplings_are_written_without_per_row_dicts(tmp_path, monkeypatch):
+    """`build_qubo`'s couplings reach the text from their columns: the
+    records writer that reads rows back into columns never sees one."""
+    from rnaqaoa.qubo import QuboParams, build_qubo, model_to_dict
+    from rnaqaoa.rna import enumerate_stems
+
+    records_text = io_._records_text
+
+    def refuse_couplings(rows, indent):
+        if type(rows[0]) is dict and rows[0].keys() == {"i", "j", "value"}:
+            raise AssertionError("couplings went through per-row dicts")
+        return records_text(rows, indent)
+
+    monkeypatch.setattr(io_, "_records_text", refuse_couplings)
+    for argv in [("qubo",), ("qubo", "--maximal", "cp=0.3")]:
+        assert _cli_document_digest(tmp_path, monkeypatch, argv) == GOLDEN_DIGESTS[argv]
+    model = build_qubo(enumerate_stems(Sequence(PKB092)), QuboParams(c_p=-0.7))
+    doc = model_to_dict(model)
+    assert len(doc["quadratic"]) == len(model.quadratic) > 0
+    plain = {**doc, "quadratic": list(doc["quadratic"])}
+    assert io_.write_json(doc) == json.dumps(plain, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------

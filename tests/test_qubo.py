@@ -1,17 +1,20 @@
 import itertools
+import json
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rnaqaoa import io as io_
 from rnaqaoa import qubo as qubo_mod
 from rnaqaoa import rna
 from rnaqaoa.errors import ResourceLimitError
 from rnaqaoa.instances import generate_instances, random_sequence
 from rnaqaoa.qubo import (
+    CouplingRecords,
     IsingModel,
     QuboModel,
     QuboParams,
@@ -484,3 +487,72 @@ def test_model_export_of_couplings_equals_that_of_their_dict(length, maximal, c_
     for g, w in zip(got, want):
         assert [type(g[k]) for k in ("i", "j", "value")] == [type(w[k]) for k in ("i", "j", "value")]
     assert {type(r["value"]) for r in got} == ({int} if c_p in (0.0, 1) else {int, float})
+
+
+def _json_dumps_of(doc) -> str:
+    """`json.dumps` text of a document with its coupling records as a list."""
+    def plain(node):
+        if isinstance(node, CouplingRecords):
+            return list(node)
+        if isinstance(node, dict):
+            return {k: plain(v) for k, v in node.items()}
+        if isinstance(node, list):
+            return list(map(plain, node))
+        return node
+
+    return json.dumps(plain(doc), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("length, maximal", [(152, False), (120, True)])
+@pytest.mark.parametrize("c_p", [0.0, 0.3, -0.7])
+def test_model_document_text_equals_json_dumps_of_its_records(length, maximal, c_p):
+    """At the long front end's scale the columns written at once give the
+    bytes `json.dumps` gives the record list, nested as in the CLI."""
+    stems = enumerate_stems(_balanced_sequence(length, length), maximal_only=maximal)
+    model = build_qubo(stems, QuboParams(c_p=c_p))
+    doc = {"results": [{"model": model_to_dict(model, stem_labels(stems))}]}
+    records = doc["results"][0]["model"]["quadratic"]
+    assert type(records) is CouplingRecords and records.exact
+    assert len(records) == len(model.quadratic) > 1000
+    assert io_.write_json(doc) == _json_dumps_of(doc)
+
+
+_finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+# QuboModel tests finiteness with np.isfinite, which takes ints of 64 bits
+_int64s = st.integers(-(2**63), 2**63 - 1)
+_coupling_values = {
+    "ints": _int64s,
+    "mixed": st.one_of(_int64s, _finite_floats),
+    "float64": st.one_of(_int64s, _finite_floats, _finite_floats.map(np.float64)),
+}
+
+
+@st.composite
+def _dict_models(draw):
+    n = draw(st.integers(0, 7))
+    pairs = [(i, j) for i in range(n) for j in range(i)]
+    keys = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    values = _coupling_values[draw(st.sampled_from(sorted(_coupling_values)))]
+    quadratic = {key: draw(values) for key in keys}
+    return QuboModel(n=n, linear=(0.5,) * n, quadratic=quadratic)
+
+
+@given(_dict_models())
+@example(QuboModel(n=0, linear=()))
+@example(QuboModel(n=3, linear=(0.5,) * 3, quadratic={(2, 0): np.float64(0.25), (1, 0): -3}))
+@settings(max_examples=200, deadline=None)
+def test_dict_model_document_text_equals_json_dumps_of_its_records(model):
+    """Plain-dict couplings get the exact-type rule of every other table:
+    exact ints and floats are written from the columns, and a column with an
+    `np.float64` takes the path that writes value by value."""
+    doc = model_to_dict(model)
+    records = doc["quadratic"]
+    expected = [{"i": i, "j": j, "value": v} for (i, j), v in sorted(model.quadratic.items())]
+    assert type(records) is CouplingRecords and not records.exact
+    assert records == expected and list(records) == expected
+    assert records[1:3] == expected[1:3] and records[-1:] == expected[-1:]
+    if expected:
+        assert records[0] == expected[0]
+    general = any(type(v) is np.float64 for v in model.quadratic.values())
+    assert (io_._coupling_records_text(records, "\n") is None) == general
+    assert io_.write_json(doc) == _json_dumps_of(doc)

@@ -85,6 +85,25 @@ def test_quantum_state_checks_every_row_of_a_stack():
         QuantumState(rows)
 
 
+@pytest.mark.parametrize("fault", ["nan", "off_by_1e-6"])
+def test_quantum_state_names_the_first_failing_row_of_a_stack(fault):
+    """A middle row fails, a later one fails worse: the message gives the
+    middle row's total."""
+    rows = np.stack([random_state(3, seed).amplitudes for seed in range(5)])
+    if fault == "nan":
+        rows[2, 5] = np.nan
+    else:
+        rows[2] *= math.sqrt(1 + 1e-6)
+    rows[4] *= 1.1
+    with pytest.raises(ValueError, match="not normalized") as info:
+        QuantumState(rows)
+    total = float(str(info.value).rsplit("= ", 1)[1])
+    if fault == "nan":
+        assert math.isnan(total)
+    else:
+        assert total == pytest.approx(1 + 1e-6, abs=1e-12)
+
+
 def test_subspace_state_takes_its_register_from_n_qubits():
     basis = np.array([1, 2, 4, 8])
     amps = np.full(4, 0.5, dtype=complex)
